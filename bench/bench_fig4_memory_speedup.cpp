@@ -24,7 +24,9 @@ int main(int argc, char** argv) {
     double worst_best = 1e9;  // the worst per-workload best speedup
     for (BenchWorkload& w : ws) {
       workloads::SeqRun seq = w.seq();
-      double best = 1.0;
+      // Over the N>1 rows only: the N=1 row is the sequential run itself,
+      // so seeding `best` with its 1.00 would hide any workload below 1x.
+      double best = 0.0;
       for (int n : args.measured_cpus) {
         if (n == 1) {
           std::printf("%-11s %-6d %-9.3f %-9.3f %-9.2f %-9d\n",

@@ -425,6 +425,9 @@ class Runtime {
   uint64_t missing_join_timeout_ns_;
 };
 
+inline Ctx::Ctx(Runtime& rt, ThreadData& td)
+    : rt_(&rt), td_(&td), space_epoch_(&rt.manager().space_epoch()) {}
+
 // RAII speculation scope: holds the join obligation of one fork. Leaving
 // scope normally joins (commit, or inline re-execution on rollback);
 // leaving scope by exception discards the speculation instead — the region

@@ -64,11 +64,39 @@ class BufferMap {
 
   bool initialized() const { return addresses_ != nullptr; }
 
-  // Finds the slot for `word_addr`, inserting (zeroed) if absent.
-  Find find_or_insert(uintptr_t word_addr, Slot& out);
+  // Finds the slot for `word_addr`, inserting (zeroed) if absent. The
+  // static-table hit and first-touch paths are inline; a slot collision
+  // takes the out-of-line overflow scan.
+  Find find_or_insert(uintptr_t word_addr, Slot& out) {
+    MUTLS_DCHECK((word_addr & kWordMask) == 0, "unaligned word address");
+    size_t idx = slot_index(word_addr);
+    if (stats_) ++stats_->probe_ops;
+    if (addresses_[idx] == word_addr) {
+      out = table_slot(idx);
+      return Find::kFound;
+    }
+    if (addresses_[idx] == 0) {
+      addresses_[idx] = word_addr;
+      buffer_[idx] = 0;
+      if (marks_) marks_[idx] = 0;
+      offsets_.push_back(static_cast<uint32_t>(idx));
+      out = table_slot(idx);
+      return Find::kInserted;
+    }
+    return overflow_find_or_insert(word_addr, out);
+  }
 
   // Finds without inserting; returns false if absent.
-  bool find(uintptr_t word_addr, Slot& out);
+  bool find(uintptr_t word_addr, Slot& out) {
+    size_t idx = slot_index(word_addr);
+    if (stats_) ++stats_->probe_ops;
+    if (addresses_[idx] == word_addr) {
+      out = table_slot(idx);
+      return true;
+    }
+    if (addresses_[idx] == 0) return false;
+    return overflow_find(word_addr, out);
+  }
 
   // Visits every occupied entry as fn(word_addr, data&, mark&).
   // `mark` references a dummy full mark when the map carries no marks.
@@ -104,6 +132,15 @@ class BufferMap {
   size_t slot_index(uintptr_t word_addr) const {
     return (word_addr >> 3) & mask_;
   }
+  Slot table_slot(size_t idx) {
+    return Slot{&buffer_[idx], marks_ ? &marks_[idx] : nullptr,
+                static_cast<uint32_t>(idx)};
+  }
+
+  // Slot collision: the paper's "temporary buffer" path. The linear scan
+  // is this map's probe sequence.
+  Find overflow_find_or_insert(uintptr_t word_addr, Slot& out);
+  bool overflow_find(uintptr_t word_addr, Slot& out);
 
   std::unique_ptr<uint64_t[]> buffer_;
   std::unique_ptr<uintptr_t[]> addresses_;
@@ -131,8 +168,14 @@ class GlobalBuffer {
   // --- word-granular slot primitives (driven by SpecBuffer) ---
 
   // Lookups without insertion; .data is null when absent.
-  WordRef find_read(uintptr_t word_addr);
-  WordRef find_write(uintptr_t word_addr);
+  WordRef find_read(uintptr_t word_addr) {
+    BufferMap::Slot s;
+    return read_set_.find(word_addr, s) ? as_ref(s) : WordRef{};
+  }
+  WordRef find_write(uintptr_t word_addr) {
+    BufferMap::Slot s;
+    return write_set_.find(word_addr, s) ? as_ref(s) : WordRef{};
+  }
 
   // Lookup-or-insert. `inserted` reports a first touch (the caller loads
   // the main-memory word / applies first-value-wins). On overflow
@@ -140,8 +183,26 @@ class GlobalBuffer {
   // itself — with a merge-specific reason when `merging`, so a joiner's
   // rollback points at the adopted child commit rather than its own
   // access path.
-  WordRef insert_read(uintptr_t word_addr, bool& inserted, bool merging);
-  WordRef insert_write(uintptr_t word_addr, bool merging);
+  WordRef insert_read(uintptr_t word_addr, bool& inserted, bool merging) {
+    BufferMap::Slot s;
+    BufferMap::Find f = read_set_.find_or_insert(word_addr, s);
+    if (f == BufferMap::Find::kFull) {
+      overflow_doom(merging ? "read-set overflow while adopting a child commit"
+                            : "read-set overflow buffer full");
+      return WordRef{};
+    }
+    inserted = f == BufferMap::Find::kInserted;
+    return as_ref(s);
+  }
+  WordRef insert_write(uintptr_t word_addr, bool merging) {
+    BufferMap::Slot s;
+    if (write_set_.find_or_insert(word_addr, s) == BufferMap::Find::kFull) {
+      overflow_doom(merging ? "write-set overflow while adopting a child commit"
+                            : "write-set overflow buffer full");
+      return WordRef{};
+    }
+    return as_ref(s);
+  }
 
   // Handle-indexed access for MRU-cached slots (handle = table index + 1,
   // as handed out in WordRef::handle).
@@ -187,6 +248,11 @@ class GlobalBuffer {
   size_t write_entries() const { return write_set_.entry_count(); }
 
  private:
+  void overflow_doom(const char* reason) {
+    doom(reason);
+    ++stats_->overflow_events;
+  }
+
   static WordRef as_ref(const BufferMap::Slot& s) {
     return WordRef{s.data, s.mark,
                    s.table_index != BufferMap::kNoSlot ? s.table_index + 1

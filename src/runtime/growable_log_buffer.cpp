@@ -48,62 +48,6 @@ void GrowableSet::release_storage() {
   log_cap_ = 0;
 }
 
-GrowableSet::Entry& GrowableSet::find_or_insert(uintptr_t word_addr,
-                                                bool& inserted) {
-  MUTLS_DCHECK((word_addr & kWordMask) == 0, "unaligned word address");
-  MUTLS_DCHECK(!at_hard_capacity(),
-               "insert into a growable set at hard capacity (the owning "
-               "buffer must doom first)");
-  const size_t mask = capacity() - 1;
-  size_t idx = home_slot(word_addr);
-  ++stats_->probe_ops;
-  while (true) {
-    uint32_t pos = index_[idx];
-    if (pos == 0) {
-      // Insert path only: keep the load factor at or below 3/4 so probe
-      // sequences stay short (a lookup hit must never pay a rehash); past
-      // max_log2_ the factor rises instead (the caller dooms before the
-      // table could actually fill).
-      if (log_size_ + 1 > capacity() - capacity() / 4 &&
-          log2_ < max_log2_) {
-        grow();
-        // Re-probe for the empty slot in the grown index.
-        const size_t grown_mask = capacity() - 1;
-        idx = home_slot(word_addr);
-        while (index_[idx] != 0) idx = (idx + 1) & grown_mask;
-      }
-      if (log_size_ == log_cap_) grow_log();
-      log_[log_size_] = Entry{word_addr, 0, 0, static_cast<uint32_t>(idx)};
-      ++log_size_;
-      index_[idx] = static_cast<uint32_t>(log_size_);
-      inserted = true;
-      return log_[log_size_ - 1];
-    }
-    Entry& e = log_[pos - 1];
-    if (e.word_addr == word_addr) {
-      inserted = false;
-      return e;
-    }
-    ++stats_->probe_steps;
-    idx = (idx + 1) & mask;
-  }
-}
-
-GrowableSet::Entry* GrowableSet::find(uintptr_t word_addr) {
-  if (index_ == nullptr) return nullptr;
-  const size_t mask = capacity() - 1;
-  size_t idx = home_slot(word_addr);
-  ++stats_->probe_ops;
-  while (true) {
-    uint32_t pos = index_[idx];
-    if (pos == 0) return nullptr;
-    Entry& e = log_[pos - 1];
-    if (e.word_addr == word_addr) return &e;
-    ++stats_->probe_steps;
-    idx = (idx + 1) & mask;
-  }
-}
-
 void GrowableSet::rebuild_index(int new_log2) {
   arena_release(arena_, index_, (size_t{1} << log2_) * sizeof(uint32_t));
   log2_ = new_log2;
@@ -122,10 +66,14 @@ void GrowableSet::rebuild_index(int new_log2) {
   }
 }
 
-void GrowableSet::grow() {
+size_t GrowableSet::grow_for(uintptr_t word_addr) {
   resized_this_epoch_ = true;
   ++stats_->resize_events;
   rebuild_index(log2_ + 1);
+  const size_t mask = capacity() - 1;
+  size_t idx = home_slot(word_addr);
+  while (index_[idx] != 0) idx = (idx + 1) & mask;
+  return idx;
 }
 
 void GrowableSet::grow_log() {
@@ -170,43 +118,6 @@ void GrowableLogBuffer::init(int log2_entries, size_t overflow_cap,
   stats_ = stats;
   read_set_.init(log2_entries, stats, max_log2, arena);
   write_set_.init(log2_entries, stats, max_log2, arena);
-}
-
-WordRef GrowableLogBuffer::find_read(uintptr_t word_addr) {
-  GrowableSet::Entry* e = read_set_.find(word_addr);
-  return e ? WordRef{&e->data, nullptr, read_set_.position_of(e)} : WordRef{};
-}
-
-WordRef GrowableLogBuffer::find_write(uintptr_t word_addr) {
-  GrowableSet::Entry* e = write_set_.find(word_addr);
-  return e ? WordRef{&e->data, &e->mark, write_set_.position_of(e)}
-           : WordRef{};
-}
-
-WordRef GrowableLogBuffer::insert_read(uintptr_t word_addr, bool& inserted,
-                                       bool merging) {
-  if (read_set_.at_hard_capacity()) {
-    doom(merging ? "read-set exhausted the maximum growable index while "
-                   "adopting a child commit"
-                 : "read-set exhausted the maximum growable index");
-    ++stats_->overflow_events;
-    return WordRef{};
-  }
-  GrowableSet::Entry& e = read_set_.find_or_insert(word_addr, inserted);
-  return WordRef{&e.data, nullptr, read_set_.position_of(&e)};
-}
-
-WordRef GrowableLogBuffer::insert_write(uintptr_t word_addr, bool merging) {
-  if (write_set_.at_hard_capacity()) {
-    doom(merging ? "write-set exhausted the maximum growable index while "
-                   "adopting a child commit"
-                 : "write-set exhausted the maximum growable index");
-    ++stats_->overflow_events;
-    return WordRef{};
-  }
-  bool inserted = false;
-  GrowableSet::Entry& e = write_set_.find_or_insert(word_addr, inserted);
-  return WordRef{&e.data, &e.mark, write_set_.position_of(&e)};
 }
 
 void GrowableLogBuffer::reset() {

@@ -75,11 +75,47 @@ class GrowableSet {
 
   // Finds the entry for `word_addr`, appending a zeroed one (and growing
   // the index if needed) when absent. Never fails. The reference stays
-  // valid until the next find_or_insert on this set.
-  Entry& find_or_insert(uintptr_t word_addr, bool& inserted);
+  // valid until the next find_or_insert on this set. The probe and the
+  // append are inline; growing the index or the log is not.
+  Entry& find_or_insert(uintptr_t word_addr, bool& inserted) {
+    MUTLS_DCHECK((word_addr & kWordMask) == 0, "unaligned word address");
+    MUTLS_DCHECK(!at_hard_capacity(),
+                 "insert into a growable set at hard capacity (the owning "
+                 "buffer must doom first)");
+    const size_t mask = capacity() - 1;
+    size_t idx = home_slot(word_addr);
+    ++stats_->probe_ops;
+    while (true) {
+      uint32_t pos = index_[idx];
+      if (pos == 0) {
+        inserted = true;
+        return append(word_addr, idx);
+      }
+      Entry& e = log_[pos - 1];
+      if (e.word_addr == word_addr) {
+        inserted = false;
+        return e;
+      }
+      ++stats_->probe_steps;
+      idx = (idx + 1) & mask;
+    }
+  }
 
   // Finds without inserting; null if absent.
-  Entry* find(uintptr_t word_addr);
+  Entry* find(uintptr_t word_addr) {
+    if (index_ == nullptr) return nullptr;
+    const size_t mask = capacity() - 1;
+    size_t idx = home_slot(word_addr);
+    ++stats_->probe_ops;
+    while (true) {
+      uint32_t pos = index_[idx];
+      if (pos == 0) return nullptr;
+      Entry& e = log_[pos - 1];
+      if (e.word_addr == word_addr) return &e;
+      ++stats_->probe_steps;
+      idx = (idx + 1) & mask;
+    }
+  }
 
   // Log positions (+1, 0 = none) are the resize-stable handle to an entry:
   // they survive both log reallocation and index rehashes, unlike raw
@@ -121,7 +157,25 @@ class GrowableSet {
         ((word_addr >> 3) * 0x9e3779b97f4a7c15ull) >> shift_);
   }
 
-  void grow();
+  // Appends a zeroed entry for `word_addr` whose probe ended at the empty
+  // index slot `idx`.
+  Entry& append(uintptr_t word_addr, size_t idx) {
+    // Keep the load factor at or below 3/4 so probe sequences stay short (a
+    // lookup hit must never pay a rehash); past max_log2_ the factor rises
+    // instead (the caller dooms before the table could actually fill).
+    if (log_size_ + 1 > capacity() - capacity() / 4 && log2_ < max_log2_) {
+      idx = grow_for(word_addr);
+    }
+    if (log_size_ == log_cap_) grow_log();
+    log_[log_size_] = Entry{word_addr, 0, 0, static_cast<uint32_t>(idx)};
+    ++log_size_;
+    index_[idx] = static_cast<uint32_t>(log_size_);
+    return log_[log_size_ - 1];
+  }
+
+  // Doubles the index and returns the empty slot `word_addr` probes to in
+  // the grown one.
+  size_t grow_for(uintptr_t word_addr);
   void grow_log();
   // Releases both arrays back to the pool (or heap) they came from.
   void release_storage();
@@ -166,15 +220,42 @@ class GrowableLogBuffer {
   // --- word-granular slot primitives (driven by SpecBuffer) ---
 
   // Lookups without insertion; .data is null when absent.
-  WordRef find_read(uintptr_t word_addr);
-  WordRef find_write(uintptr_t word_addr);
+  WordRef find_read(uintptr_t word_addr) {
+    GrowableSet::Entry* e = read_set_.find(word_addr);
+    return e ? WordRef{&e->data, nullptr, read_set_.position_of(e)}
+             : WordRef{};
+  }
+  WordRef find_write(uintptr_t word_addr) {
+    GrowableSet::Entry* e = write_set_.find(word_addr);
+    return e ? WordRef{&e->data, &e->mark, write_set_.position_of(e)}
+             : WordRef{};
+  }
 
   // Lookup-or-insert. Dooms (returning a null .data) only at the hard
   // index capacity — ~2^28 distinct words by default, past the point where
   // resizing can help — exactly like static-hash exhaustion instead of
   // aborting the process; a merge-specific reason is used when `merging`.
-  WordRef insert_read(uintptr_t word_addr, bool& inserted, bool merging);
-  WordRef insert_write(uintptr_t word_addr, bool merging);
+  WordRef insert_read(uintptr_t word_addr, bool& inserted, bool merging) {
+    if (read_set_.at_hard_capacity()) {
+      capacity_doom(merging ? "read-set exhausted the maximum growable index "
+                              "while adopting a child commit"
+                            : "read-set exhausted the maximum growable index");
+      return WordRef{};
+    }
+    GrowableSet::Entry& e = read_set_.find_or_insert(word_addr, inserted);
+    return WordRef{&e.data, nullptr, read_set_.position_of(&e)};
+  }
+  WordRef insert_write(uintptr_t word_addr, bool merging) {
+    if (write_set_.at_hard_capacity()) {
+      capacity_doom(merging ? "write-set exhausted the maximum growable index "
+                              "while adopting a child commit"
+                            : "write-set exhausted the maximum growable index");
+      return WordRef{};
+    }
+    bool inserted = false;
+    GrowableSet::Entry& e = write_set_.find_or_insert(word_addr, inserted);
+    return WordRef{&e.data, &e.mark, write_set_.position_of(&e)};
+  }
 
   // Handle-indexed access for MRU-cached slots (handle = log position, as
   // handed out in WordRef::handle; stable across resizes).
@@ -224,6 +305,11 @@ class GrowableLogBuffer {
   size_t write_entries() const { return write_set_.entry_count(); }
 
  private:
+  void capacity_doom(const char* reason) {
+    doom(reason);
+    ++stats_->overflow_events;
+  }
+
   GrowableSet read_set_;
   GrowableSet write_set_;
   bool doomed_ = false;

@@ -45,54 +45,6 @@ void NumaShardedBuffer::init(int log2_entries, size_t overflow_cap,
   doom_reason_ = "";
 }
 
-WordRef NumaShardedBuffer::find_read(uintptr_t word_addr) {
-  ++stats_->shard_probe_steps;
-  int s = shard_of(word_addr);
-  GrowableSet::Entry* e = shard_[s].read.find(word_addr);
-  return e ? WordRef{&e->data, nullptr,
-                     pack(s, shard_[s].read.position_of(e))}
-           : WordRef{};
-}
-
-WordRef NumaShardedBuffer::find_write(uintptr_t word_addr) {
-  ++stats_->shard_probe_steps;
-  int s = shard_of(word_addr);
-  GrowableSet::Entry* e = shard_[s].write.find(word_addr);
-  return e ? WordRef{&e->data, &e->mark,
-                     pack(s, shard_[s].write.position_of(e))}
-           : WordRef{};
-}
-
-WordRef NumaShardedBuffer::insert_read(uintptr_t word_addr, bool& inserted,
-                                       bool merging) {
-  ++stats_->shard_probe_steps;
-  int s = shard_of(word_addr);
-  if (shard_[s].read.at_hard_capacity()) {
-    doom(merging ? "read-set shard exhausted its maximum index while "
-                   "adopting a child commit"
-                 : "read-set shard exhausted its maximum index");
-    ++stats_->overflow_events;
-    return WordRef{};
-  }
-  GrowableSet::Entry& e = shard_[s].read.find_or_insert(word_addr, inserted);
-  return WordRef{&e.data, nullptr, pack(s, shard_[s].read.position_of(&e))};
-}
-
-WordRef NumaShardedBuffer::insert_write(uintptr_t word_addr, bool merging) {
-  ++stats_->shard_probe_steps;
-  int s = shard_of(word_addr);
-  if (shard_[s].write.at_hard_capacity()) {
-    doom(merging ? "write-set shard exhausted its maximum index while "
-                   "adopting a child commit"
-                 : "write-set shard exhausted its maximum index");
-    ++stats_->overflow_events;
-    return WordRef{};
-  }
-  bool inserted = false;
-  GrowableSet::Entry& e = shard_[s].write.find_or_insert(word_addr, inserted);
-  return WordRef{&e.data, &e.mark, pack(s, shard_[s].write.position_of(&e))};
-}
-
 void NumaShardedBuffer::reset() {
   for (int s = 0; s < shards_; ++s) {
     shard_[s].read.clear();

@@ -87,10 +87,48 @@ class NumaShardedBuffer {
 
   // --- word-granular slot primitives (driven by SpecBuffer) ---
 
-  WordRef find_read(uintptr_t word_addr);
-  WordRef find_write(uintptr_t word_addr);
-  WordRef insert_read(uintptr_t word_addr, bool& inserted, bool merging);
-  WordRef insert_write(uintptr_t word_addr, bool merging);
+  WordRef find_read(uintptr_t word_addr) {
+    ++stats_->shard_probe_steps;
+    int s = shard_of(word_addr);
+    GrowableSet::Entry* e = shard_[s].read.find(word_addr);
+    return e ? WordRef{&e->data, nullptr,
+                       pack(s, shard_[s].read.position_of(e))}
+             : WordRef{};
+  }
+  WordRef find_write(uintptr_t word_addr) {
+    ++stats_->shard_probe_steps;
+    int s = shard_of(word_addr);
+    GrowableSet::Entry* e = shard_[s].write.find(word_addr);
+    return e ? WordRef{&e->data, &e->mark,
+                       pack(s, shard_[s].write.position_of(e))}
+             : WordRef{};
+  }
+  WordRef insert_read(uintptr_t word_addr, bool& inserted, bool merging) {
+    ++stats_->shard_probe_steps;
+    int s = shard_of(word_addr);
+    if (shard_[s].read.at_hard_capacity()) {
+      capacity_doom(merging ? "read-set shard exhausted its maximum index "
+                              "while adopting a child commit"
+                            : "read-set shard exhausted its maximum index");
+      return WordRef{};
+    }
+    GrowableSet::Entry& e = shard_[s].read.find_or_insert(word_addr, inserted);
+    return WordRef{&e.data, nullptr, pack(s, shard_[s].read.position_of(&e))};
+  }
+  WordRef insert_write(uintptr_t word_addr, bool merging) {
+    ++stats_->shard_probe_steps;
+    int s = shard_of(word_addr);
+    if (shard_[s].write.at_hard_capacity()) {
+      capacity_doom(merging ? "write-set shard exhausted its maximum index "
+                              "while adopting a child commit"
+                            : "write-set shard exhausted its maximum index");
+      return WordRef{};
+    }
+    bool inserted = false;
+    GrowableSet::Entry& e =
+        shard_[s].write.find_or_insert(word_addr, inserted);
+    return WordRef{&e.data, &e.mark, pack(s, shard_[s].write.position_of(&e))};
+  }
 
   // Handle-indexed access for MRU-cached slots (handle = shard/position
   // pack, as handed out in WordRef::handle; stable across resizes).
@@ -150,6 +188,11 @@ class NumaShardedBuffer {
   int home_shard() const { return home_shard_; }
 
  private:
+  void capacity_doom(const char* reason) {
+    doom(reason);
+    ++stats_->overflow_events;
+  }
+
   struct Shard {
     GrowableSet read;
     GrowableSet write;

@@ -238,9 +238,8 @@ class ThreadManager {
   // Bumped on every unregistration; per-Ctx span caches compare it so a
   // cached positive lookup cannot outlive the registration it proved
   // (memory can be unregistered mid-run, e.g. algorithm-local scratch).
-  uint64_t space_epoch() const {
-    return space_epoch_.load(std::memory_order_acquire);
-  }
+  // A Ctx keeps the address of the counter and reads it on every access.
+  const std::atomic<uint64_t>& space_epoch() const { return space_epoch_; }
 
   // Number of speculative threads currently live.
   int live_threads() const;

@@ -1,6 +1,6 @@
 #include "runtime/value_predictor.h"
 
-#include <cstring>
+#include <memory>
 
 #include "support/check.h"
 
@@ -25,9 +25,9 @@ void ValuePredictor::init(const SpecPredictPolicy& policy, Arena* arena) {
               "predict_table_log2 out of range");
   MUTLS_CHECK(policy_.confidence_threshold >= 1,
               "predict confidence threshold must be >= 1");
-  size_t bytes = (size_t{1} << policy_.table_log2) * sizeof(Entry);
-  table_ = static_cast<Entry*>(arena_grab(arena_, bytes));
-  std::memset(table_, 0, bytes);
+  size_t n = size_t{1} << policy_.table_log2;
+  table_ = static_cast<Entry*>(arena_grab(arena_, n * sizeof(Entry)));
+  std::uninitialized_fill_n(table_, n, Entry{});
 }
 
 void ValuePredictor::train(uintptr_t word_addr, uint64_t actual) {

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
+#include <vector>
 
 namespace mutls {
 namespace {
@@ -159,6 +162,105 @@ TEST(ApiRuntime, UnregisteredAccessRollsBackSafely) {
   // The inline re-execution runs non-speculatively where direct access is
   // legal, so the value is eventually written exactly once.
   EXPECT_EQ(unregistered, 1u);
+}
+
+// A chunk body that reads many registered arrays in rotation, as bh's tree
+// walk does: every access crosses to another array, so the per-Ctx span
+// cache must hold all of them for the check to stay off the shared lock.
+// The result must still match the sequential oracle.
+TEST(ApiRuntime, SpeculativeChildReadsTwelveArraysInRotation) {
+  constexpr size_t kArrays = 12;
+  constexpr size_t kWords = 64;
+  Runtime rt(small_opts());
+  std::vector<std::unique_ptr<SharedArray<uint64_t>>> arrays;
+  uint64_t oracle = 0;
+  for (size_t k = 0; k < kArrays; ++k) {
+    arrays.push_back(std::make_unique<SharedArray<uint64_t>>(rt, kWords, 0));
+    for (size_t w = 0; w < kWords; ++w) {
+      (*arrays[k])[w] = (k + 1) * 1000 + w;
+      oracle += ((k + 1) * 1000 + w) * (w % 7 + 1);
+    }
+  }
+  SharedArray<uint64_t> out(rt, 1, 0);
+  rt.run([&](Ctx& ctx) {
+    Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+      uint64_t sum = 0;
+      for (size_t w = 0; w < kWords; ++w) {
+        for (size_t k = 0; k < kArrays; ++k) {
+          sum += c.load(&(*arrays[k])[w]) * (w % 7 + 1);
+        }
+      }
+      c.store(&out[0], sum);
+    });
+    JoinOutcome r = rt.join(ctx, s);
+    if (s.speculated()) {
+      EXPECT_EQ(r, JoinOutcome::kCommitted);
+    }
+  });
+  EXPECT_EQ(out[0], oracle);
+}
+
+// The span cache only ever proves an access *inside* a registered span: a
+// store to an unregistered address must doom even after a warm-up has
+// filled the cache with every registered array the body touches.
+TEST(ApiRuntime, UnregisteredAccessDoomsWithWarmSpanCache) {
+  Runtime rt(small_opts());
+  alignas(8) static uint64_t unregistered;
+  unregistered = 0;
+  std::vector<std::unique_ptr<SharedArray<uint64_t>>> arrays;
+  for (int k = 0; k < 8; ++k) {
+    arrays.push_back(std::make_unique<SharedArray<uint64_t>>(rt, 4, 1));
+  }
+  rt.run([&](Ctx& ctx) {
+    Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+      uint64_t sum = 0;
+      for (int pass = 0; pass < 2; ++pass) {
+        for (auto& a : arrays) sum += c.load(&(*a)[pass]);
+      }
+      c.store(&unregistered, sum);  // dooms the speculation
+      EXPECT_FALSE(c.speculative());
+    });
+    JoinOutcome r = rt.join(ctx, s);
+    if (s.speculated()) {
+      EXPECT_EQ(r, JoinOutcome::kRolledBack);
+    }
+  });
+  EXPECT_EQ(unregistered, 16u);
+}
+
+// Unregistering memory mid-run bumps the address-space epoch, which flushes
+// every Ctx's span cache: a child that already proved the array registered
+// must doom on its next access to it, not serve the stale span.
+TEST(ApiRuntime, UnregisterMidRunFlushesSpanCache) {
+  Runtime rt(small_opts());
+  alignas(8) static uint64_t region[4];
+  std::fill(std::begin(region), std::end(region), uint64_t{5});
+  rt.register_memory(region, sizeof(region));
+  SharedArray<uint64_t> out(rt, 1, 0);
+  std::atomic<bool> first_read{false};
+  std::atomic<bool> unregistered{false};
+  rt.run([&](Ctx& ctx) {
+    Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+      uint64_t v = c.load(&region[0]);  // warms the span cache
+      if (c.speculative()) {
+        first_read = true;
+        while (!unregistered) std::this_thread::yield();
+      }
+      v += c.load(&region[1]);  // must doom: region is no longer registered
+      EXPECT_FALSE(c.speculative());
+      c.store(&out[0], v);
+    });
+    if (s.speculated()) {
+      while (!first_read) std::this_thread::yield();
+    }
+    rt.unregister_memory(region, sizeof(region));
+    unregistered = true;
+    JoinOutcome r = rt.join(ctx, s);
+    if (s.speculated()) {
+      EXPECT_EQ(r, JoinOutcome::kRolledBack);
+    }
+  });
+  EXPECT_EQ(out[0], 10u);
 }
 
 TEST(ApiRuntime, NonSpeculativeAccessBypassesBuffers) {

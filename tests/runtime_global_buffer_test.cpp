@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstring>
+#include <vector>
 
 #include "runtime/thread_data.h"
 #include "support/prng.h"
@@ -465,6 +466,39 @@ TEST_P(SpecBufferCrossBackend, AdoptedReadKeepsJoinersFirstObservation) {
   EXPECT_TRUE(joiner.validate_against_memory());
 }
 
+// Adoption inserts into the joiner's write set behind its word-view cache:
+// a line that proved a word write-absent would keep serving the joiner's
+// own read-set observation. merge_into must therefore drop every line, not
+// only one — here two read-only words on different lines.
+TEST_P(SpecBufferCrossBackend, MergeInvalidatesEveryCachedLine) {
+  std::vector<uint64_t> words(SpecBuffer::kMruLines / 2 + 1, 1);
+  uint64_t& x = words.front();
+  uint64_t& z = words.back();
+  SpecBuffer joiner, child;
+  joiner.init(GetParam().joiner, 12, 64);
+  child.init(GetParam().child, 12, 64);
+  auto addr = [](uint64_t& v) { return reinterpret_cast<uintptr_t>(&v); };
+
+  // Load each word twice: the second load is a read-only line hit.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(joiner.load_aligned(addr(x), 8), 1u);
+    ASSERT_EQ(joiner.load_aligned(addr(z), 8), 1u);
+  }
+  ASSERT_EQ(joiner.stats().mru_hits, 2u);
+
+  child.store_aligned(addr(x), 7, 8);  // full marks
+  child.store_aligned(addr(z), 9, 8);
+  child.merge_into(joiner);
+  ASSERT_FALSE(joiner.doomed());
+
+  EXPECT_EQ(joiner.load_aligned(addr(x), 8), 7u)
+      << "a cached read-only line hid the adopted write";
+  EXPECT_EQ(joiner.load_aligned(addr(z), 8), 9u)
+      << "merge_into left a second cached line alive";
+  EXPECT_EQ(joiner.stats().mru_hits, 2u)
+      << "the first post-merge loads cannot be line hits";
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Pairs, SpecBufferCrossBackend,
     ::testing::Values(
@@ -650,10 +684,11 @@ TEST_P(SpecBufferEquivalence, MruInvalidatedAcrossResetForSpeculation) {
       << "clear_stats + reset must leave no pre-armed MRU hit";
 }
 
-// The MRU word-view cache is now ONE state machine in SpecBuffer,
-// parameterized on the backends' slot handles; walk it through every line
-// state deterministically and pin the exact hit/miss/skip accounting —
-// identical for every backend, since the machine no longer lives in them.
+// The word-view cache is ONE state machine in SpecBuffer, parameterized on
+// the backends' slot handles; walk it through every line state
+// deterministically and pin the exact hit/miss/skip accounting — identical
+// for every backend, since the machine does not live in them. x and y are
+// adjacent words, so they sit in different lines.
 TEST_P(SpecBufferEquivalence, MruStateMachineCoversEveryLineState) {
   alignas(8) uint64_t x = 0x0807060504030201ull;
   alignas(8) uint64_t y = 0xbbbbbbbbbbbbbbbbull;
@@ -704,6 +739,95 @@ TEST_P(SpecBufferEquivalence, MruStateMachineCoversEveryLineState) {
   EXPECT_EQ(fast_.read_entries(), 2u);
   EXPECT_EQ(fast_.write_entries(), 1u);
   EXPECT_TRUE(fast_.validate_against_memory());
+}
+
+// Two words kMruLines words apart share one word-view line and evict each
+// other on every alternation. Interleaved loads, partial stores and full
+// stores of the pair must still match the generic byte path exactly and
+// leave exactly the expected set footprints.
+TEST_P(SpecBufferEquivalence, AliasedLinesMatchGenericByteLoop) {
+  std::vector<uint64_t> mem(SpecBuffer::kMruLines + 1);
+  for (size_t i = 0; i < mem.size(); ++i) mem[i] = 0x1111111111111111ull * i;
+  const uintptr_t x = reinterpret_cast<uintptr_t>(&mem.front());
+  const uintptr_t y = reinterpret_cast<uintptr_t>(&mem.back());
+  ASSERT_EQ(y - x, SpecBuffer::kMruLines * sizeof(uint64_t));
+  // Sized so the static hash keeps both words in its table.
+  fast_.init(GetParam(), 12, 64);
+  slow_.init(GetParam(), 12, 64);
+
+  auto check_load = [&](uintptr_t a, size_t n, int step) {
+    uint8_t got_fast[8] = {0};
+    uint8_t got_slow[8] = {0};
+    fast_load(a, got_fast, n);
+    ref_load(a, got_slow, n);
+    ASSERT_EQ(std::memcmp(got_fast, got_slow, n), 0)
+        << "step " << step << ": fast and generic loads disagree";
+  };
+  auto store = [&](uintptr_t a, uint64_t v, size_t n) {
+    uint8_t bytes[8];
+    std::memcpy(bytes, &v, sizeof(bytes));
+    fast_store(a, bytes, n);
+    ref_store(a, bytes, n);
+  };
+
+  for (int round = 0; round < 4; ++round) {
+    uint64_t v = 0x0102030405060708ull * static_cast<uint64_t>(round + 1);
+    check_load(x, 8, 0);          // x read-only in the shared line
+    check_load(y, 8, 1);          // y evicts it
+    check_load(x, 8, 2);          // and x evicts y again
+    store(y + 3, v, 1);           // partial store into y
+    check_load(y, 8, 3);          // y's written byte over its read
+    check_load(x + 2, 4, 4);      // sub-word load of x
+    store(x, v, 8);               // full store of x
+    check_load(y, 8, 5);
+    check_load(x, 8, 6);          // served from x's full write
+    store(y, ~v, 8);              // full store of y over the partial one
+    check_load(x + 4, 2, 7);
+    check_load(y + 1, 2, 8);
+  }
+  ASSERT_FALSE(fast_.doomed());
+  EXPECT_EQ(fast_.read_entries(), 2u);
+  EXPECT_EQ(fast_.write_entries(), 2u);
+  EXPECT_EQ(fast_.read_entries(), slow_.read_entries());
+  EXPECT_EQ(fast_.write_entries(), slow_.write_entries());
+
+  // Both words were read before they were overwritten, so both still
+  // guard validation.
+  EXPECT_TRUE(fast_.validate_against_memory());
+  EXPECT_TRUE(slow_.validate_against_memory());
+  for (uint64_t* w : {&mem.front(), &mem.back()}) {
+    *w ^= 0xff;
+    EXPECT_FALSE(fast_.validate_against_memory());
+    EXPECT_FALSE(slow_.validate_against_memory());
+    *w ^= 0xff;
+  }
+
+  std::vector<uint64_t> snapshot = mem;
+  fast_.commit_to_memory();
+  std::vector<uint64_t> after_fast = mem;
+  mem = snapshot;
+  slow_.commit_to_memory();
+  EXPECT_EQ(after_fast, mem) << "fast and generic commits leave different "
+                                "memory";
+}
+
+// Invalidation bumps a generation instead of clearing the lines. The
+// generation lives in the tag bits that a line's index and the word
+// alignment make redundant, so it repeats after `period` invalidations; a
+// line left untouched for that long would match again unless the wrap
+// clears the table. Its stale handle names a slot the reset emptied.
+TEST_P(SpecBufferEquivalence, InvalidationSurvivesGenerationWrap) {
+  const uint64_t period = SpecBuffer::kMruLines * sizeof(uint64_t) - 1;
+  alignas(8) uint64_t y = 1;
+  const uintptr_t a = reinterpret_cast<uintptr_t>(&y);
+  for (int wrap = 0; wrap < 2; ++wrap) {
+    ASSERT_EQ(fast_.load_aligned(a, 8), y);  // caches y's line
+    for (uint64_t i = 0; i < period; ++i) fast_.reset();
+    ++y;
+    EXPECT_EQ(fast_.load_aligned(a, 8), y)
+        << "a line cached before the generation wrapped matched again";
+    fast_.reset();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SpecBufferEquivalence,

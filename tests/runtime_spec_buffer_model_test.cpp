@@ -35,8 +35,23 @@
 namespace mutls {
 namespace {
 
-constexpr size_t kArenaWords = 256;
+// Past the word-view cache's line count, so random ops alias lines: the
+// ops land in two 128-word windows kMruLines words apart, and every word of
+// one window shares its line with the same word of the other.
+constexpr size_t kWindowWords = 128;
+constexpr size_t kArenaWords = SpecBuffer::kMruLines + kWindowWords;
 constexpr size_t kArenaBytes = kArenaWords * sizeof(uint64_t);
+// Table size of the contestants: at least the arena, so the static hash
+// never collides (its capacity behavior is pinned separately below).
+constexpr int kTableLog2 = 11;
+static_assert((size_t{1} << kTableLog2) >= kArenaWords);
+
+// A random offset for an n-byte access: inside one of the two windows.
+size_t random_offset(Xorshift64& rng, size_t n) {
+  size_t off = rng.next() % (kWindowWords * sizeof(uint64_t) - n);
+  if (rng.next() % 2 == 0) off += SpecBuffer::kMruLines * sizeof(uint64_t);
+  return off;
+}
 
 // The byte-level reference model. Offsets are relative to the arena base
 // it is constructed over.
@@ -152,11 +167,11 @@ class SpecBufferModelTest : public ::testing::Test {
 
   void SetUp() override {
     c_[0].name = "static-hash";
-    c_[0].buf.init(BufferBackend::kStaticHash, 8, 64);
+    c_[0].buf.init(BufferBackend::kStaticHash, kTableLog2, 64);
     c_[1].name = "growable-log";
-    c_[1].buf.init(BufferBackend::kGrowableLog, 8, 64);
+    c_[1].buf.init(BufferBackend::kGrowableLog, kTableLog2, 64);
     c_[2].name = "adaptive-unflipped";
-    c_[2].buf.init(BufferBackend::kAdaptive, 8, 64);
+    c_[2].buf.init(BufferBackend::kAdaptive, kTableLog2, 64);
     // The flipped contestant starts on a deliberately tiny static table,
     // is overflow-doomed once, and re-armed with a threshold of 1: its
     // next speculation — the differential run — executes on the growable
@@ -184,16 +199,16 @@ class SpecBufferModelTest : public ::testing::Test {
                                   .stride_window = uint64_t{1} << 16,
                                   .table_log2 = 8};
     c_[4].name = "static-hash-predict-unconfident";
-    c_[4].buf.init(BufferBackend::kStaticHash, 8, 64, {},
+    c_[4].buf.init(BufferBackend::kStaticHash, kTableLog2, 64, {},
                    GrowableSet::kMaxLog2, nullptr, unconfident);
     c_[5].name = "growable-log-predict-unconfident";
-    c_[5].buf.init(BufferBackend::kGrowableLog, 8, 64, {},
+    c_[5].buf.init(BufferBackend::kGrowableLog, kTableLog2, 64, {},
                    GrowableSet::kMaxLog2, nullptr, unconfident);
-    // region_log2 = 8 splits the 2 KiB test arena into eight 256-byte
-    // regions alternating between the two shards, so every random stream
-    // exercises the cross-shard routing, not one shard in isolation.
+    // region_log2 = 8 splits each 1 KiB window into four 256-byte regions
+    // alternating between the two shards, so every random stream exercises
+    // the cross-shard routing, not one shard in isolation.
     c_[6].name = "numa-sharded";
-    c_[6].buf.init(BufferBackend::kNumaSharded, 8, 64, {},
+    c_[6].buf.init(BufferBackend::kNumaSharded, kTableLog2, 64, {},
                    GrowableSet::kMaxLog2, nullptr, {}, nullptr,
                    SpecBuffer::NumaPolicy{/*shards=*/2, /*region_log2=*/8,
                                           /*home_shard=*/0});
@@ -222,7 +237,7 @@ TEST_F(SpecBufferModelTest, RandomOpsMatchByteModelOnEveryBackend) {
       for (int op = 0; op < kOpsPerEpoch; ++op) {
         size_t n = 1 + rng.next() % 16;  // aligned scalars, odd widths,
                                          // word straddles, two-word spans
-        size_t off = rng.next() % (kArenaBytes - n);
+        size_t off = random_offset(rng, n);
         if (rng.next() % 2 == 0) {
           uint8_t data[16];
           for (size_t i = 0; i < n; ++i) {
@@ -262,7 +277,7 @@ TEST_F(SpecBufferModelTest, RandomOpsMatchByteModelOnEveryBackend) {
       }
       ASSERT_TRUE(model.validate());
       for (int probe = 0; probe < 16; ++probe) {
-        size_t off = rng.next() % kArenaBytes;
+        size_t off = random_offset(rng, 1);
         uint8_t delta = static_cast<uint8_t>(1 + rng.next() % 255);
         for (Contestant& c : c_) c.arena[off] ^= delta;
         model_arena_[off] ^= delta;
@@ -299,8 +314,8 @@ TEST_F(SpecBufferModelTest, RandomOpsMatchByteModelOnEveryBackend) {
   EXPECT_GT(c_[4].buf.predictor().entries(), 0u);
   EXPECT_GT(c_[5].buf.predictor().entries(), 0u);
   // The sharded contestant really routed (per-epoch counters were cleared
-  // by the final rearm, so check the lifetime evidence instead: a 2 KiB
-  // arena split at 256-byte regions cannot have kept one shard empty).
+  // by the final rearm, so check the lifetime evidence instead: windows
+  // split at 256-byte regions cannot have kept one shard empty).
   EXPECT_EQ(c_[6].buf.active_backend(), BufferBackend::kNumaSharded);
 }
 

@@ -869,7 +869,8 @@ TEST(NumaFreelist, ConcurrentWorkerClaimsStayDistinct) {
   // Workers fork grandchildren while the root forks children: pop_idle /
   // push_idle race across both node freelists. Every rank handed out in a
   // round is held live (spinning on `release`) until the whole round's
-  // claims are recorded — a rank is only pushed back to its freelist
+  // claims are recorded — the root releases only once every child has
+  // made its fork attempt, and a rank is only pushed back to its freelist
   // after release — so a set bit in the mask means exactly "handed out
   // twice", never legal sequential reuse within the round.
   ManagerConfig c = small_config(BufferBackend::kNumaSharded, 4);
@@ -878,6 +879,7 @@ TEST(NumaFreelist, ConcurrentWorkerClaimsStayDistinct) {
   ThreadManager* m = &mgr;
   for (int round = 0; round < 25; ++round) {
     std::atomic<bool> release{false};
+    std::atomic<int> fork_attempts{0};
     std::atomic<uint32_t> live_mask{0};
     std::atomic<int> double_claims{0};
     auto claim_bit = [&](int rank) {
@@ -894,11 +896,16 @@ TEST(NumaFreelist, ConcurrentWorkerClaimsStayDistinct) {
           claim_bit(gd.rank);
           while (!release.load()) std::this_thread::yield();
         });
+        fork_attempts.fetch_add(1);
         while (!release.load()) std::this_thread::yield();
         if (g > 0) m->synchronize(td, td.children.back());
       });
       ASSERT_GT(r, 0);
     }
+    // Without this wait a child that starts late could fork after another
+    // child already synchronized its grandchild, and legally reuse that
+    // rank within the round.
+    while (fork_attempts.load() != 2) std::this_thread::yield();
     release = true;
     while (!mgr.root().children.empty()) {
       mgr.synchronize(mgr.root(), mgr.root().children.back());
