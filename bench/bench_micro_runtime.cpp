@@ -90,16 +90,11 @@ void attach_buffer_counters(benchmark::State& state, const RunStats& rs) {
   state.counters["validated_words"] =
       Counter(static_cast<double>(b.validated_words), Counter::kAvgIterations);
   state.counters["avg_probe_len"] = b.avg_probe_length();
-  // Access-path tier counters: aligned-word fast-path uses, MRU word-view
-  // cache hits/misses and the set probes those hits skipped.
-  state.counters["fastpath_hits"] =
-      Counter(static_cast<double>(b.fastpath_hits), Counter::kAvgIterations);
+  // Access-path counters: word-view cache hits and misses.
   state.counters["mru_hits"] =
       Counter(static_cast<double>(b.mru_hits), Counter::kAvgIterations);
   state.counters["mru_misses"] =
       Counter(static_cast<double>(b.mru_misses), Counter::kAvgIterations);
-  state.counters["probe_skips"] =
-      Counter(static_cast<double>(b.probe_skips), Counter::kAvgIterations);
   // Adaptive backend: speculations that started on a freshly flipped
   // backend (0 for the fixed backends).
   state.counters["backend_flips"] =

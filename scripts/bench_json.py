@@ -46,6 +46,7 @@ The CMake target `bench_json` wraps this with the default build tree.
 import argparse
 import datetime
 import json
+import os
 import platform
 import re
 import subprocess
@@ -82,10 +83,9 @@ FIG11_CELL_KEYS = ("epochs", "conflicts", "commits", "rollbacks",
 
 # Google-Benchmark binaries whose buffered benches sweep the SpecBuffer
 # backends; their per-run counters (resize_events, avg_probe_len,
-# validated_words, overflow_events, fastpath_hits, mru_hits/misses,
-# probe_skips, backend_flips, the fork-latency ledger split) are the cost
-# breakdown behind any backend or hot-path comparison, so they ride along
-# in the JSON document. The ablation binary rides along too so a backend
+# validated_words, overflow_events, mru_hits/misses, backend_flips, the
+# fork-latency ledger split) are the cost breakdown behind any backend or
+# hot-path comparison, so they ride along in the JSON document. The ablation binary rides along too so a backend
 # perf regression trips the perf trajectory, not just correctness CI.
 MICRO_BENCH = "bench_micro_runtime"
 MICRO_FILTER = "Buffered|ForkJoin"
@@ -139,8 +139,7 @@ DISPATCH_CELL_KEYS = ("wall_ns", "iters", "instrs", "ns_per_instr",
 COUNTER_KEYS = (
     "items_per_second", "resize_events", "overflow_events",
     "validated_words", "avg_probe_len", "rollbacks", "commits",
-    "fastpath_hits", "mru_hits", "mru_misses", "probe_skips",
-    "backend_flips", "alloc_events",
+    "mru_hits", "mru_misses", "backend_flips", "alloc_events",
     "predicted_reads", "predictor_hits", "predictor_mispredicts",
     "saved_rollbacks",
     "find_cpu_ns", "fork_arm_ns", "fork_handoff_ns", "join_ns",
@@ -734,6 +733,7 @@ def main() -> int:
         "mode": args.mode,
         "flags": flags,
         "host": {
+            "cpus": os.cpu_count(),
             "machine": platform.machine(),
             "system": platform.system(),
             "release": platform.release(),

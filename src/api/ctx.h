@@ -50,6 +50,9 @@ class Ctx {
   template <typename T>
   static constexpr bool kWordSized = word_sized_aligned(0, sizeof(T));
 
+  // A speculative load keeps the registration check and the word-view hit
+  // inline; a hit cannot doom, so it returns without a doom check. A miss
+  // is one call to the out-of-line SpecBuffer::load_miss.
   template <typename T>
   T load(const T* p) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -62,9 +65,12 @@ class Ctx {
     T out;
     if constexpr (kWordSized<T>) {
       if (word_sized_aligned(a, sizeof(T))) {
-        uint64_t raw = td_->sbuf.load_aligned(a, sizeof(T));
+        uint64_t raw;
+        if (!td_->sbuf.load_hit(a, sizeof(T), raw)) {
+          raw = td_->sbuf.load_miss(a, sizeof(T));
+          if (td_->sbuf.doomed()) throw_doomed();
+        }
         std::memcpy(&out, &raw, sizeof(T));
-        if (td_->sbuf.doomed()) throw_doomed();
         return out;
       }
     }

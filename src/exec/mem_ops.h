@@ -40,11 +40,15 @@ inline void load_mem(ThreadManager& mgr, ThreadData& td, uint64_t addr,
   }
   check_space(mgr, td, addr, n);
   if (word_sized_aligned(addr, n)) {
-    uint64_t raw = td.sbuf.load_aligned(addr, n);
+    uint64_t raw;
+    if (!td.sbuf.load_hit(addr, n, raw)) {  // a hit cannot doom
+      raw = td.sbuf.load_miss(addr, n);
+      if (td.sbuf.doomed()) throw SpecAbort{td.sbuf.doom_reason()};
+    }
     std::memcpy(out, &raw, n);
-  } else {
-    td.sbuf.load_bytes(addr, out, n);
+    return;
   }
+  td.sbuf.load_bytes(addr, out, n);
   if (td.sbuf.doomed()) throw SpecAbort{td.sbuf.doom_reason()};
 }
 

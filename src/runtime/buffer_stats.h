@@ -22,12 +22,9 @@ struct SpecBufferStats {
   uint64_t probe_steps = 0;      // open-addressing steps beyond the home slot
   uint64_t probe_ops = 0;        // probed lookups (avg length = steps / ops)
   uint64_t validated_words = 0;  // read-set words compared at validation
-  uint64_t fastpath_hits = 0;    // aligned-word accesses that skipped the
-                                 // byte-splitting loop (SpecBuffer level)
-  uint64_t mru_hits = 0;         // word-view resolutions served by the MRU
-                                 // slot cache (backend level)
-  uint64_t mru_misses = 0;       // resolutions that had to probe the sets
-  uint64_t probe_skips = 0;      // set probes the MRU hits avoided
+  uint64_t mru_hits = 0;         // word loads and stores served by their
+                                 // word-view line without a set probe
+  uint64_t mru_misses = 0;       // ones that had to probe the sets
   uint64_t backend_flips = 0;    // adaptive: this speculation started on a
                                  // freshly flipped backend (the flipped
                                  // *state* persists per slot; the counter,
@@ -73,10 +70,8 @@ struct SpecBufferStats {
     probe_steps += o.probe_steps;
     probe_ops += o.probe_ops;
     validated_words += o.validated_words;
-    fastpath_hits += o.fastpath_hits;
     mru_hits += o.mru_hits;
     mru_misses += o.mru_misses;
-    probe_skips += o.probe_skips;
     backend_flips += o.backend_flips;
     alloc_events += o.alloc_events;
     predicted_reads += o.predicted_reads;

@@ -18,13 +18,13 @@
 //
 // This class provides only the word-granular slot primitives (WordRef in
 // "runtime/memory.h"): find/insert into either set, handle-indexed access
-// for MRU-cached slots, and the set walks. Everything with policy in it —
+// for MRU-cached write slots, and the set walks. Everything with policy in it —
 // the byte-level load/store splitting, the speculative view composition,
 // the MRU word-view cache state machine, validation, commit and the
 // tree-form merge (including read-adoption policy) — lives once in
 // SpecBuffer, generic over the backend primitives. Only static-table slots
-// hand out cacheable handles (their storage never moves); overflow
-// residents always take the probing path.
+// hand out cacheable handles (their storage never moves); a store to an
+// overflow resident always takes the probing path.
 #pragma once
 
 #include <cstdint>
@@ -204,9 +204,8 @@ class GlobalBuffer {
     return as_ref(s);
   }
 
-  // Handle-indexed access for MRU-cached slots (handle = table index + 1,
-  // as handed out in WordRef::handle).
-  uint64_t read_data(uint32_t handle) { return read_set_.data_at(handle - 1); }
+  // Handle-indexed write-set access for MRU-cached slots (handle = table
+  // index + 1, as handed out in WordRef::handle).
   uint64_t& write_data(uint32_t handle) {
     return write_set_.data_at(handle - 1);
   }

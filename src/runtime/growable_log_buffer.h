@@ -257,11 +257,8 @@ class GrowableLogBuffer {
     return WordRef{&e.data, &e.mark, write_set_.position_of(&e)};
   }
 
-  // Handle-indexed access for MRU-cached slots (handle = log position, as
-  // handed out in WordRef::handle; stable across resizes).
-  uint64_t read_data(uint32_t handle) {
-    return read_set_.at_position(handle).data;
-  }
+  // Handle-indexed write-set access for MRU-cached slots (handle = log
+  // position, as handed out in WordRef::handle; stable across resizes).
   uint64_t& write_data(uint32_t handle) {
     return write_set_.at_position(handle).data;
   }

@@ -87,7 +87,8 @@ inline uint64_t overlay_bytes(uint64_t base, uint64_t data, uint64_t mask) {
 //               cacheable): a static-table index for the static hash
 //               (overflow residents move when the overflow vector grows,
 //               so they hand out 0), a resize-stable log position for the
-//               growable log.
+//               growable log. The word-view cache keeps write-set handles
+//               only; a read is cached as its value.
 struct WordRef {
   uint64_t* data = nullptr;
   uint64_t* mark = nullptr;

@@ -130,11 +130,9 @@ class NumaShardedBuffer {
     return WordRef{&e.data, &e.mark, pack(s, shard_[s].write.position_of(&e))};
   }
 
-  // Handle-indexed access for MRU-cached slots (handle = shard/position
-  // pack, as handed out in WordRef::handle; stable across resizes).
-  uint64_t read_data(uint32_t handle) {
-    return shard_at(handle).read.at_position(handle & kPosMask).data;
-  }
+  // Handle-indexed write-set access for MRU-cached slots (handle =
+  // shard/position pack, as handed out in WordRef::handle; stable across
+  // resizes).
   uint64_t& write_data(uint32_t handle) {
     return shard_at(handle).write.at_position(handle & kPosMask).data;
   }

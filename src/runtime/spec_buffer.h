@@ -31,8 +31,8 @@
 // word-granular primitives
 //
 //   find_read / find_write / insert_read / insert_write   (-> WordRef)
-//   read_data / write_data / write_mark                   (by cached handle)
-//   for_each_read / for_each_write
+//   write_data / write_mark                               (by cached handle)
+//   for_each_read / for_each_write                        (insertion order)
 //   reset / doom / pressure / entry counts
 //
 // and every algorithm with policy in it is written once here, generic over
@@ -46,16 +46,17 @@
 // Access-path tiers, fastest first:
 //   load_aligned/store_aligned — naturally-aligned accesses of power-of-two
 //     size <= 8 (every Shared<T>/SharedSpan<T> scalar): one word-view
-//     resolution plus a shift, no byte-splitting loop. Counted as
-//     fastpath_hits.
-//   load_span/store_span — bulk transfers: one dispatch and doom check per
-//     span, one probe per *word* (not per element), full interior words
-//     move as whole words.
+//     resolution plus a shift, no byte-splitting loop. Its load hit,
+//     load_hit, is the one hit path of every load.
+//   load_span/store_span — bulk transfers: one probe per *word* (not per
+//     element), full interior words move as whole words.
 //   load_bytes/store_bytes — the fully generic entry (any size, any
 //     alignment), now a span of length one access.
-// Below all three sits the word-view cache: kMruLines direct-mapped lines
-// (shared by the backends, keyed on their handles), so a word touched again
-// while its line still holds it skips the hash probes too.
+// Below all three sits the word-view cache: kMruLines direct-mapped lines,
+// each holding one word's composed view and its write-set handle. A load
+// of a word whose line holds its view is a tag compare plus one load, with
+// no backend dispatch, probe or doom check; only misses, stores and
+// invalidation reach the backend.
 //
 // The double dispatch in validate_against/merge_into makes the join-time
 // pairings generic, so buffers of *different* backends compose — which is
@@ -145,12 +146,12 @@ class SpecBuffer {
 
  public:
   // Lines of the word-view cache, direct-mapped by word-address bits
-  // [3, 3 + log2(kMruLines)): 16 bytes each, so 16 KB per buffer inside
+  // [3, 3 + log2(kMruLines)): 24 bytes each, so 24 KB per buffer inside
   // the slot, no allocation. 1024 lines hold md's 768-word position sweep
   // without self-aliasing. Measured with bench/e2e on a 4-vCPU Xeon VM
-  // (md, 5 s runs, seeds 1-3): 256 lines give speedup 0.21-0.26x at hit
-  // fraction 0.001, 1024 lines 0.36-0.42x at 0.95, 4096 lines 0.35-0.38x
-  // at 0.95.
+  // (md, 5 s runs, seeds 1-3, when lines held handles): 256 lines give
+  // speedup 0.21-0.26x at hit fraction 0.001, 1024 lines 0.36-0.42x at
+  // 0.95, 4096 lines 0.35-0.38x at 0.95.
   static constexpr size_t kMruLines = 1024;
 
   using AdaptivePolicy = SpecAdaptivePolicy;
@@ -177,13 +178,13 @@ class SpecBuffer {
   // growable log lazily at the first flip. `growable_max_log2` bounds the
   // growable index (a memory bound; also the seam the hard-cap doom tests
   // use). `arena`, when given (the owning virtual-CPU slot's arena), backs
-  // the growable arrays and the join-time sort scratch through its
-  // persistent pool; without one those fall back to the heap (standalone
-  // buffers in tests). `predict` enables the per-slot value predictor
-  // (table storage also from the arena pool); `fleet`, when given (by
-  // ThreadManager), lets kAdaptive slots coordinate proactive flips.
-  // `numa` configures kNumaSharded's address-range routing (shard count,
-  // region granularity, home shard) and is ignored by the other backends.
+  // the growable arrays through its persistent pool; without one those
+  // fall back to the heap (standalone buffers in tests). `predict` enables
+  // the per-slot value predictor (table storage also from the arena pool);
+  // `fleet`, when given (by ThreadManager), lets kAdaptive slots coordinate
+  // proactive flips. `numa` configures kNumaSharded's address-range routing
+  // (shard count, region granularity, home shard) and is ignored by the
+  // other backends.
   void init(BufferBackend backend, int log2_entries, size_t overflow_cap,
             AdaptivePolicy policy = {},
             int growable_max_log2 = GrowableSet::kMaxLog2,
@@ -198,7 +199,6 @@ class SpecBuffer {
     overflow_cap_ = overflow_cap;
     growable_max_log2_ = growable_max_log2;
     arena_ = arena;
-    scratch_.attach(arena);
     predicted_.attach(arena);
     predictor_.init(predict, arena);
     if (predict.enabled) {
@@ -250,13 +250,41 @@ class SpecBuffer {
   // the addressed bytes in the LOW bytes of the result (the caller copies
   // out `size` of them); the store takes the value in the low bytes.
   uint64_t load_aligned(uintptr_t addr, size_t size) {
+    uint64_t out;
+    return load_hit(addr, size, out) ? out : load_miss(addr, size);
+  }
+
+  // The hit half of load_aligned, and the only load hit path: true, with
+  // the addressed bytes in the low bytes of `out`, when the word's line
+  // holds its composed view. A hit never dispatches, probes or dooms, so a
+  // caller that gets true needs no doom check.
+  bool load_hit(uintptr_t addr, size_t size, uint64_t& out) {
     MUTLS_DCHECK(word_sized_aligned(addr, size),
-                 "load_aligned: size must be a power of two <= 8 and addr "
+                 "load_hit: size must be a power of two <= 8 and addr "
                  "naturally aligned");
     (void)size;  // only the high bytes the caller ignores depend on it
-    ++stats_.fastpath_hits;
-    uintptr_t word_addr = addr & ~kWordMask;
-    return dispatch([&](auto& b) { return word_view(b, word_addr); }) >>
+    const uintptr_t word_addr = addr & ~kWordMask;
+    const MruLine& line = mru_line(word_addr);
+    // The hint keeps the hit the straight-line path in every caller;
+    // without it GCC moved md's hit behind a taken branch.
+    if (line.tag != mru_tag(word_addr) || line.state != kView) [[unlikely]] {
+      return false;
+    }
+    ++stats_.mru_hits;
+    out = line.view >> (8 * (addr - word_addr));
+    return true;
+  }
+
+  // The miss half of load_aligned, out of line: resolves the word through
+  // the backend and refreshes its line. Capacity exhaustion dooms the
+  // buffer, so the caller checks doomed() afterwards.
+  [[gnu::noinline]] uint64_t load_miss(uintptr_t addr, size_t size) {
+    MUTLS_DCHECK(word_sized_aligned(addr, size),
+                 "load_miss: size must be a power of two <= 8 and addr "
+                 "naturally aligned");
+    (void)size;
+    const uintptr_t word_addr = addr & ~kWordMask;
+    return dispatch([&](auto& b) { return resolve_view(b, word_addr); }) >>
            (8 * (addr - word_addr));
   }
 
@@ -264,7 +292,6 @@ class SpecBuffer {
     MUTLS_DCHECK(word_sized_aligned(addr, size),
                  "store_aligned: size must be a power of two <= 8 and addr "
                  "naturally aligned");
-    ++stats_.fastpath_hits;
     uintptr_t word_addr = addr & ~kWordMask;
     size_t off = addr - word_addr;
     dispatch([&](auto& b) {
@@ -273,37 +300,35 @@ class SpecBuffer {
   }
 
   // Bulk span transfer: reads `size` bytes of the thread's speculative view
-  // of `addr`. One dispatch for the whole span; a partial head word, whole
-  // interior words, a partial tail — one probe per word, not per element.
-  // Out of line (as is store_span): a span amortizes the call, and the
-  // scalar callers that fall back to it stay small enough to inline.
+  // of `addr`: a partial head word, whole interior words, a partial tail —
+  // one word-view resolution per word, not per element. Out of line (as
+  // is store_span): a span amortizes the call, and the scalar callers that
+  // fall back to it stay small enough to inline.
   [[gnu::noinline]] void load_span(uintptr_t addr, void* out, size_t size) {
     if (size == 0) return;  // must not touch (and first-touch insert) a word
-    dispatch([&](auto& b) {
-      char* dst = static_cast<char*>(out);
-      uintptr_t a = addr;
-      size_t left = size;
-      size_t head = a & kWordMask;
-      if (head != 0) {
-        size_t n = std::min(kWordSize - head, left);
-        uint64_t w = word_view(b, a - head);
-        copy_from_word(w, head, n, dst);
-        a += n;
-        dst += n;
-        left -= n;
-      }
-      while (left >= kWordSize) {
-        uint64_t w = word_view(b, a);
-        std::memcpy(dst, &w, kWordSize);
-        a += kWordSize;
-        dst += kWordSize;
-        left -= kWordSize;
-      }
-      if (left > 0) {
-        uint64_t w = word_view(b, a);
-        copy_from_word(w, 0, left, dst);
-      }
-    });
+    char* dst = static_cast<char*>(out);
+    uintptr_t a = addr;
+    size_t left = size;
+    size_t head = a & kWordMask;
+    if (head != 0) {
+      size_t n = std::min(kWordSize - head, left);
+      uint64_t w = load_aligned(a - head, kWordSize);
+      copy_from_word(w, head, n, dst);
+      a += n;
+      dst += n;
+      left -= n;
+    }
+    while (left >= kWordSize) {
+      uint64_t w = load_aligned(a, kWordSize);
+      std::memcpy(dst, &w, kWordSize);
+      a += kWordSize;
+      dst += kWordSize;
+      left -= kWordSize;
+    }
+    if (left > 0) {
+      uint64_t w = load_aligned(a, kWordSize);
+      copy_from_word(w, 0, left, dst);
+    }
   }
 
   // Bulk span transfer: buffers a write of `size` bytes at `addr`. Whole
@@ -354,30 +379,18 @@ class SpecBuffer {
   // --- join-time operations (both threads stopped at the flag barrier) ---
 
   // Validates the read-set against main memory (non-speculative joiner).
-  // The comparison accumulates a XOR difference — no branch per word; a
-  // cache-exceeding set is additionally gathered and sorted so main memory
-  // is compared in address order (hardware prefetch instead of hash-order
-  // hopping).
+  // The comparison accumulates a XOR difference — no branch per word — over
+  // the set walked in place. Every backend walks its sets in insertion
+  // order (kNumaSharded one shard at a time), never in hash order, so main
+  // memory is touched in the order the speculation first touched it.
   bool validate_against_memory() {
     return dispatch([&](auto& b) {
       uint64_t diff = 0;
       uint64_t words = 0;
-      if (b.read_entries() >= kAddressOrderThreshold) {
-        scratch_.clear();
-        b.for_each_read([&](uintptr_t word_addr, uint64_t data) {
-          scratch_.push_back(SetEntry{word_addr, data, 0});
-        });
-        sort_scratch();
-        for (const SetEntry& e : scratch_) {
-          diff |= atomic_word_load(e.word_addr) ^ e.data;
-        }
-        words = scratch_.size();
-      } else {
-        b.for_each_read([&](uintptr_t word_addr, uint64_t data) {
-          ++words;
-          diff |= atomic_word_load(word_addr) ^ data;
-        });
-      }
+      b.for_each_read([&](uintptr_t word_addr, uint64_t data) {
+        ++words;
+        diff |= atomic_word_load(word_addr) ^ data;
+      });
       stats_.validated_words += words;
       bool valid = diff == 0;
       if (predict_.enabled) {
@@ -389,10 +402,9 @@ class SpecBuffer {
   }
 
   // Validates the read-set against a speculative joiner's buffered view.
-  // Probes the joiner's maps (address order buys nothing there) but keeps
-  // the branchless XOR accumulation. Peeks never touch the joiner's word-
-  // view cache: they run on the joiner's buffer from *this* thread at the
-  // flag barrier.
+  // Probes the joiner's maps with the same branchless XOR accumulation.
+  // Peeks never touch the joiner's word-view cache: they run on the
+  // joiner's buffer from *this* thread at the flag barrier.
   bool validate_against(SpecBuffer& joiner) {
     return dispatch([&](auto& b) {
       return joiner.dispatch([&](auto& j) {
@@ -418,8 +430,8 @@ class SpecBuffer {
     });
   }
 
-  // Commits marked write-set bytes to main memory — in address order when
-  // the set is large enough for the ordered walk to beat the sort.
+  // Commits marked write-set bytes to main memory, walking the set in place
+  // (insertion order, like validation).
   void commit_to_memory() {
     dispatch([&](auto& b) {
       // Locality accounting only the sharded backend can provide: the
@@ -428,7 +440,7 @@ class SpecBuffer {
       if constexpr (requires { b.local_write_words(); }) {
         stats_.local_commit_words += b.local_write_words();
       }
-      auto commit_one = [](uintptr_t word_addr, uint64_t data, uint64_t mark) {
+      b.for_each_write([](uintptr_t word_addr, uint64_t data, uint64_t mark) {
         if (mark == kFullMark) {
           atomic_word_store(word_addr, data);
           return;
@@ -439,20 +451,7 @@ class SpecBuffer {
             atomic_byte_store(word_addr + i, static_cast<uint8_t>(bytes[i]));
           }
         }
-      };
-      if (b.write_entries() >= kAddressOrderThreshold) {
-        scratch_.clear();
-        b.for_each_write(
-            [&](uintptr_t word_addr, uint64_t data, uint64_t mark) {
-              scratch_.push_back(SetEntry{word_addr, data, mark});
-            });
-        sort_scratch();
-        for (const SetEntry& e : scratch_) {
-          commit_one(e.word_addr, e.data, e.mark);
-        }
-      } else {
-        b.for_each_write(commit_one);
-      }
+      });
     });
   }
 
@@ -570,16 +569,26 @@ class SpecBuffer {
  private:
   // --- the word-view cache + view composition ---
   //
-  // kMruLines direct-mapped lines, each caching one resolved word view and
-  // shared by all backends through their handle accessors: `r`/`w` hold the
-  // backend's WordRef::handle for the word's read-/write-set slot (+1
-  // encoded by the backend; 0 = not yet resolved), with kWriteAbsent
-  // marking a word *proven* absent from the write set. A word maps to one
-  // line, so a store always updates the line a later load of the same word
-  // consults; two words that alias a line simply evict each other. Handles
-  // are only ever interpreted by the backend that produced them: every line
-  // is invalidated on reset(), and adaptive flips happen strictly after a
-  // reset, so a handle can never cross backends.
+  // kMruLines direct-mapped lines, each caching the thread's composed view
+  // of one word — write-set marked bytes over the read-set observation —
+  // next to the backend's WordRef::handle for the word's write-set slot
+  // (0 = none known: not written yet, or a static-hash overflow resident,
+  // whose storage moves). A tagged line is in one of two states:
+  //   kView      — `view` is the word's composed view. A load hit returns
+  //                it: a tag compare plus one load, no backend dispatch,
+  //                handle chase or probe.
+  //   kWriteOnly — the word has partial writes but was never read, so
+  //                there is no view yet; `w` still lets further stores
+  //                skip the probe.
+  // A load miss probes both sets and stores the view. A store writes
+  // through `w` to the backend and overlays the view; a store that
+  // completes the word's full mark makes the view valid, since a fully
+  // written word no longer depends on memory. A word maps to one line, so
+  // every store reaches the line a later load of the same word consults;
+  // two words that alias a line simply evict each other. The sets change
+  // behind a line only in merge_into and reset, and both invalidate every
+  // line; adaptive flips happen strictly after a reset, so a handle can
+  // never cross backends.
   //
   // Invalidation is O(1): the line's index bits and the three alignment
   // bits of a word address are implied by the line it sits in, so the tag
@@ -587,20 +596,19 @@ class SpecBuffer {
   // low bits. Bumping the generation orphans every line at once; only when
   // it wraps (every kMruGenMask invalidations) is the table cleared. Tag 0
   // never matches, since generations start at 1.
-  //
-  // A hit serves the word from the cached handles with no probe; the miss
-  // path pays one compare and a three-field refresh, so access patterns
-  // that never revisit a word lose nothing.
-  static constexpr uint32_t kWriteAbsent = 0xffffffffu;
   static constexpr uintptr_t kMruGenMask = kMruLines * kWordSize - 1;
   static_assert((kMruLines & (kMruLines - 1)) == 0,
                 "kMruLines must be a power of two");
 
+  enum LineState : uint32_t { kWriteOnly, kView };
+
   struct MruLine {
     uintptr_t tag;
-    uint32_t r;  // read-set handle; 0 = unknown
-    uint32_t w;  // write-set handle; 0 = unknown; kWriteAbsent
+    uint64_t view;    // composed view of the word (kView only)
+    uint32_t w;       // write-set handle; 0 = none known
+    LineState state;
   };
+  static_assert(sizeof(MruLine) == 24, "a word-view line is 24 bytes");
 
   MruLine& mru_line(uintptr_t word_addr) {
     return mru_[(word_addr / kWordSize) & (kMruLines - 1)];
@@ -616,55 +624,23 @@ class SpecBuffer {
     }
   }
 
-  // The thread's current view of one whole word: write-set marked bytes
-  // over the read-set observation over main memory. First touch inserts
-  // the word into the read-set; capacity exhaustion dooms the thread (via
-  // the backend's insert_read) and falls back to the main-memory value.
-  //
-  // The line hit is inline; everything else is the out-of-line
-  // word_view_miss, so the hit compiles to straight-line code in the
-  // caller.
+  // The thread's current view of one whole word, resolved through the
+  // backend (the load miss): write-set marked bytes over the read-set
+  // observation over main memory. First touch inserts the word into the
+  // read-set; capacity exhaustion dooms the thread (via the backend's
+  // insert_read), falls back to the main-memory value and leaves the line
+  // untagged. Otherwise the view is cached in the word's line.
+  // Always inlined into load_miss, so a miss costs one call.
   template <typename B>
-  uint64_t word_view(B& b, uintptr_t word_addr) {
+  [[gnu::always_inline]] uint64_t resolve_view(B& b, uintptr_t word_addr) {
     MruLine& line = mru_line(word_addr);
-    if (line.tag == mru_tag(word_addr)) {
-      // Serve entirely from the cached handles when the line knows
-      // everything the probing path would re-derive.
-      if (line.w != 0 && line.w != kWriteAbsent) {
-        uint64_t mark = b.write_mark(line.w);
-        if (mark == kFullMark) {
-          ++stats_.mru_hits;
-          ++stats_.probe_skips;
-          return b.write_data(line.w);
-        }
-        if (line.r != 0) {
-          ++stats_.mru_hits;
-          stats_.probe_skips += 2;
-          return overlay_bytes(b.read_data(line.r), b.write_data(line.w),
-                               mark);
-        }
-      } else if (line.w == kWriteAbsent && line.r != 0) {
-        ++stats_.mru_hits;
-        stats_.probe_skips += 2;
-        return b.read_data(line.r);
-      }
-    }
-    return word_view_miss(b, word_addr, line);
-  }
-
-  template <typename B>
-  [[gnu::noinline]] uint64_t word_view_miss(B& b, uintptr_t word_addr,
-                                            MruLine& line) {
     const uintptr_t tag = mru_tag(word_addr);
     ++stats_.mru_misses;
-    // Keep whatever half of the line is still valid when re-resolving the
-    // same word (e.g. a read after a store that only knew the write slot).
-    uint32_t mr = line.tag == tag ? line.r : 0;
 
     WordRef w = b.find_write(word_addr);
-    uint32_t mw = w.data ? w.handle : kWriteAbsent;
+    const uint32_t mw = w.data ? w.handle : 0;
     if (w.data && *w.mark == kFullMark) {
-      line = MruLine{tag, mr, mw};
+      line = MruLine{tag, *w.data, mw, kView};
       return *w.data;
     }
 
@@ -696,19 +672,19 @@ class SpecBuffer {
         *r.data = observed;
       }
     }
-    line = MruLine{tag, r.handle, mw};
-    uint64_t base = *r.data;
+    uint64_t view = *r.data;
     if (w.data) {
       // Overlay the bytes this thread already wrote. `w` points into the
       // write set, untouched by the read-set insertion above.
-      base = overlay_bytes(base, *w.data, *w.mark);
+      view = overlay_bytes(view, *w.data, *w.mark);
     }
-    return base;
+    line = MruLine{tag, view, mw, kView};
+    return view;
   }
 
-  // Like word_view but never inserts into the read-set and leaves the
-  // word-view cache untouched (used when a speculative joiner's view is evaluated
-  // from the child's thread).
+  // Like resolve_view but never inserts into the read-set and leaves the
+  // word-view cache untouched (used when a speculative joiner's view is
+  // evaluated from the child's thread).
   template <typename B>
   static uint64_t word_peek(B& b, uintptr_t word_addr) {
     WordRef w = b.find_write(word_addr);
@@ -773,18 +749,18 @@ class SpecBuffer {
   }
 
   // Overlays the bytes selected by `mask` onto the buffered word; dooms on
-  // capacity exhaustion (via the backend's insert_write).
-  // Like word_view, the line hit is inline and the rest out of line.
+  // capacity exhaustion (via the backend's insert_write). A line that knows
+  // the word's write handle takes the write inline; the rest is out of line.
   template <typename B>
   void word_write(B& b, uintptr_t word_addr, uint64_t value, uint64_t mask) {
     MruLine& line = mru_line(word_addr);
-    if (line.tag == mru_tag(word_addr) && line.w != 0 &&
-        line.w != kWriteAbsent) {
+    if (line.tag == mru_tag(word_addr) && line.w != 0) {
       ++stats_.mru_hits;
-      ++stats_.probe_skips;
       uint64_t& d = b.write_data(line.w);
+      uint64_t& m = b.write_mark(line.w);
       d = overlay_bytes(d, value, mask);
-      b.write_mark(line.w) |= mask;
+      m |= mask;
+      fold_store(line, value, mask, d, m);
       return;
     }
     word_write_miss(b, word_addr, value, mask, line);
@@ -800,8 +776,23 @@ class SpecBuffer {
     if (!w.data) return;  // capacity doom; the backend set the reason
     *w.data = overlay_bytes(*w.data, value, mask);
     *w.mark |= mask;
-    uint32_t mr = line.tag == tag ? line.r : 0;
-    line = MruLine{tag, mr, w.handle};
+    // A view of the same word stays valid under the overlay below; any
+    // other word's line is evicted.
+    if (line.tag != tag) line = MruLine{tag, 0, 0, kWriteOnly};
+    line.w = w.handle;
+    fold_store(line, value, mask, *w.data, *w.mark);
+  }
+
+  // Brings the word's line up to date with a store of `value` under `mask`
+  // that left the word's write-set entry at `data`/`mark`.
+  static void fold_store(MruLine& line, uint64_t value, uint64_t mask,
+                         uint64_t data, uint64_t mark) {
+    if (line.state == kView) {
+      line.view = overlay_bytes(line.view, value, mask);
+    } else if (mark == kFullMark) {
+      line.view = data;
+      line.state = kView;
+    }
   }
 
   // --- adaptive backend selection (kAdaptive) ---
@@ -923,28 +914,6 @@ class SpecBuffer {
     uint64_t observed;   // what memory actually held at access time
   };
   PodVec<PredictedRead> predicted_;
-
-  // Reused gather buffer for the join-time set walks: large sets are
-  // streamed into it, sorted by address, and then touch main memory in
-  // address order (sequential prefetch instead of hash-order hopping).
-  // Small sets fit in cache, where the sort costs more than hash-order
-  // misses ever could — they are walked directly instead; the threshold is
-  // roughly where a set's footprint outgrows L1/L2. Arena-pooled (capacity
-  // retained across epochs): the settle path stays allocation-free.
-  struct SetEntry {
-    uintptr_t word_addr;
-    uint64_t data;
-    uint64_t mark;
-  };
-  static constexpr size_t kAddressOrderThreshold = 4096;
-  PodVec<SetEntry> scratch_;
-
-  void sort_scratch() {
-    std::sort(scratch_.begin(), scratch_.end(),
-              [](const SetEntry& a, const SetEntry& b) {
-                return a.word_addr < b.word_addr;
-              });
-  }
 };
 
 }  // namespace mutls

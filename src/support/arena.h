@@ -25,8 +25,8 @@
 //     threaded through the released blocks themselves. This backs storage
 //     that must outlive epochs but still wants recycling instead of
 //     malloc/free churn: the growable buffer's log and index arrays and
-//     the SpecBuffer sort scratch. A released index array is reused by the
-//     next grow — across read/write sets and across epochs.
+//     the SpecBuffer's predicted-read table. A released index array is
+//     reused by the next grow — across read/write sets and across epochs.
 //
 // Both regimes count every trip to ::operator new in fallback_heap_allocs
 // (lifetime) and in an epoch counter zeroed by rearm(). The epoch counter

@@ -166,6 +166,56 @@ TEST(AllocBudget, AdaptiveSteadyStateIsAllocationFree) {
   EXPECT_GT(s.commits, 0u);
 }
 
+// Join-time validation and commit walk the sets in place, so they need no
+// storage of their own, however large the sets. Warm-up speculations
+// build read and write sets of 12 000 words — sizing every set structure —
+// but doom themselves with an unregistered access, so none of them reaches
+// validation or commit. The first speculation that validates and commits
+// sets that size must then cause no arena heap fallback, and no heap
+// allocation at all.
+TEST(AllocBudget, FirstLargeCommitAfterWarmupIsAllocationFree) {
+  constexpr size_t kWords = 12000;
+  alignas(8) static uint64_t unregistered = 0;
+  for (BufferBackend backend :
+       {BufferBackend::kStaticHash, BufferBackend::kGrowableLog,
+        BufferBackend::kAdaptive, BufferBackend::kNumaSharded}) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    // A static table large enough that contiguous words never collide.
+    Runtime rt({.num_cpus = 2,
+                .buffer_log2 = 15,
+                .overflow_cap = 64,
+                .buffer_backend = backend});
+    std::vector<uint64_t> data(kWords, 1);
+    rt.register_memory(data.data(), data.size() * sizeof(uint64_t));
+    auto one_run = [&](bool doom) {
+      return rt.run([&](Ctx& root) {
+        auto s = rt.fork_scoped(root, ForkModel::kMixed, [&](Ctx& c) {
+          for (size_t i = 0; i < kWords; ++i) {
+            c.store(&data[i], c.load(&data[i]) + 1);
+          }
+          if (doom && c.speculative()) (void)c.load(&unregistered);
+        });
+      });
+    };
+    uint64_t warm_rollbacks = 0;
+    for (int i = 0; i < kWarmup; ++i) {
+      warm_rollbacks += one_run(/*doom=*/true).speculative.rollbacks;
+    }
+    ASSERT_GT(warm_rollbacks, 0u) << "no warm-up speculation ran";
+
+    g_news.store(0);
+    g_counting.store(true);
+    RunStats rs = one_run(/*doom=*/false);
+    g_counting.store(false);
+    ASSERT_EQ(rs.speculative.commits, 1u);
+    EXPECT_EQ(rs.speculative.buffer.validated_words, kWords);
+    EXPECT_EQ(
+        rs.speculative.buffer.alloc_events + rs.critical.buffer.alloc_events,
+        0u);
+    EXPECT_EQ(g_news.load(), 0u);
+  }
+}
+
 // The fork path itself (handle + speculated wrapper) must stay off the heap
 // even when bodies capture more than InlineTask's buffer: the spill goes to
 // the forker's/child's arena, warmed after the first epoch.

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <vector>
 
+#include "exec/mem_ops.h"
+#include "mutls/mutls.h"
 #include "runtime/thread_data.h"
 #include "support/prng.h"
 #include "tests/backend_param.h"
@@ -283,6 +285,33 @@ TEST(SpecBufferStaticHash, DoomOnOverflowExhaustion) {
   EXPECT_TRUE(tiny.doomed());
   EXPECT_TRUE(tiny.pressure());
   EXPECT_GT(tiny.stats().overflow_events, 0u);
+}
+
+// A load whose first touch exhausts the static hash dooms and leaves its
+// line untagged, so a reload misses again. A word living in the overflow
+// map has no stable handle, but its line caches the value, so its reload
+// is a hit.
+TEST(SpecBufferStaticHash, CapacityDoomLeavesLineUntagged) {
+  SpecBuffer tiny;
+  tiny.init(BufferBackend::kStaticHash, 4, 1);  // 16 slots, 1 overflow
+  alignas(8) static uint64_t arena[64];
+  const uintptr_t in_table = reinterpret_cast<uintptr_t>(&arena[0]);
+  const uintptr_t overflow = reinterpret_cast<uintptr_t>(&arena[16]);
+  const uintptr_t too_many = reinterpret_cast<uintptr_t>(&arena[32]);
+  arena[16] = 16;
+  arena[32] = 32;
+  (void)tiny.load_aligned(in_table, 8);
+  EXPECT_EQ(tiny.load_aligned(overflow, 8), 16u);
+  ASSERT_FALSE(tiny.doomed());
+  EXPECT_EQ(tiny.load_aligned(overflow, 8), 16u);
+  EXPECT_EQ(tiny.stats().mru_hits, 1u) << "overflow resident's view cached";
+
+  EXPECT_EQ(tiny.load_aligned(too_many, 8), 32u) << "memory fallback";
+  ASSERT_TRUE(tiny.doomed());
+  const uint64_t misses = tiny.stats().mru_misses;
+  EXPECT_EQ(tiny.load_aligned(too_many, 8), 32u);
+  EXPECT_EQ(tiny.stats().mru_misses, misses + 1);
+  EXPECT_EQ(tiny.stats().mru_hits, 1u) << "a doomed miss cached its view";
 }
 
 TEST(SpecBufferGrowableLog, ResizesInsteadOfDooming) {
@@ -684,61 +713,240 @@ TEST_P(SpecBufferEquivalence, MruInvalidatedAcrossResetForSpeculation) {
       << "clear_stats + reset must leave no pre-armed MRU hit";
 }
 
-// The word-view cache is ONE state machine in SpecBuffer, parameterized on
-// the backends' slot handles; walk it through every line state
-// deterministically and pin the exact hit/miss/skip accounting — identical
-// for every backend, since the machine does not live in them. x and y are
-// adjacent words, so they sit in different lines.
+// The word-view cache is ONE state machine in SpecBuffer: a line holds a
+// word's composed view (kView) or only its write handle (kWriteOnly, after
+// partial stores to a word never read). Walk every line state and
+// transition deterministically and pin the exact hit/miss accounting —
+// identical for every backend, since the machine does not live in them.
+// The three words are adjacent, so they sit in different lines.
 TEST_P(SpecBufferEquivalence, MruStateMachineCoversEveryLineState) {
-  alignas(8) uint64_t x = 0x0807060504030201ull;
-  alignas(8) uint64_t y = 0xbbbbbbbbbbbbbbbbull;
-  auto addr = [](uint64_t& v) { return reinterpret_cast<uintptr_t>(&v); };
+  alignas(8) uint64_t mem[3] = {0x0807060504030201ull, 0xbbbbbbbbbbbbbbbbull,
+                                0xccccccccccccccccull};
+  const uintptr_t x = reinterpret_cast<uintptr_t>(&mem[0]);
+  const uintptr_t y = reinterpret_cast<uintptr_t>(&mem[1]);
+  const uintptr_t z = reinterpret_cast<uintptr_t>(&mem[2]);
   const SpecBufferStats& s = fast_.stats();
+  auto counts = [&](uint64_t hits, uint64_t misses, int step) {
+    EXPECT_EQ(s.mru_hits, hits) << "step " << step;
+    EXPECT_EQ(s.mru_misses, misses) << "step " << step;
+  };
 
-  // 1. Partial-mark store: write-set miss, line learns the write handle.
-  uint8_t b = 0xAA;
-  fast_.store_span(addr(x), &b, 1);
-  EXPECT_EQ(s.mru_misses, 1u);
-  EXPECT_EQ(s.mru_hits, 0u);
+  // 1. Partial store to an untouched word: store miss, the line learns the
+  // write handle but holds no view (kWriteOnly).
+  fast_.store_aligned(x, 0xAA, 1);
+  counts(0, 1, 1);
 
-  // 2. Load of the same word: the line knows a *partial* write but no read
-  // slot yet -> miss path resolves the read slot, keeping the write half.
-  uint64_t out = fast_.load_aligned(addr(x), 8);
-  EXPECT_EQ(out, 0x08070605040302AAull) << "written byte over memory base";
-  EXPECT_EQ(s.mru_misses, 2u);
+  // 2. A second partial store goes through the cached write handle.
+  fast_.store_aligned(x + 1, 0xBB, 1);
+  counts(1, 1, 2);
 
-  // 3. Load again: partial write + read slot both cached -> overlay hit.
-  out = fast_.load_aligned(addr(x), 8);
-  EXPECT_EQ(out, 0x08070605040302AAull);
-  EXPECT_EQ(s.mru_hits, 1u);
-  EXPECT_EQ(s.probe_skips, 2u);
+  // 3. Load of a kWriteOnly word: miss, resolves and caches the view.
+  EXPECT_EQ(fast_.load_aligned(x, 8), 0x080706050403BBAAull)
+      << "written bytes over the memory base";
+  counts(1, 2, 3);
 
-  // 4. Store through the cached write handle -> hit, one probe skipped.
-  fast_.store_aligned(addr(x), 0x1111111111111111ull, 8);
-  EXPECT_EQ(s.mru_hits, 2u);
-  EXPECT_EQ(s.probe_skips, 3u);
+  // 4. Load again: kView hit.
+  EXPECT_EQ(fast_.load_aligned(x, 8), 0x080706050403BBAAull);
+  counts(2, 2, 4);
 
-  // 5. Load of a now fully-marked word -> served from the write slot.
-  out = fast_.load_aligned(addr(x), 8);
-  EXPECT_EQ(out, 0x1111111111111111ull);
-  EXPECT_EQ(s.mru_hits, 3u);
-  EXPECT_EQ(s.probe_skips, 4u);
+  // 5. Full store through the cached handle overlays the view: hit.
+  fast_.store_aligned(x, 0x1111111111111111ull, 8);
+  counts(3, 2, 5);
 
-  // 6. Different, read-only word: miss, line proves the write absent...
-  out = fast_.load_aligned(addr(y), 8);
-  EXPECT_EQ(out, 0xbbbbbbbbbbbbbbbbull);
-  EXPECT_EQ(s.mru_misses, 3u);
+  // 6. The view reflects the store without a probe.
+  EXPECT_EQ(fast_.load_aligned(x, 8), 0x1111111111111111ull);
+  counts(4, 2, 6);
 
-  // 7. ...so the repeat load is a read-only hit skipping both probes.
-  out = fast_.load_aligned(addr(y), 8);
-  EXPECT_EQ(out, 0xbbbbbbbbbbbbbbbbull);
-  EXPECT_EQ(s.mru_hits, 4u);
-  EXPECT_EQ(s.probe_skips, 6u);
+  // 7. Read-only word: miss; the line holds its view and no write handle.
+  EXPECT_EQ(fast_.load_aligned(y, 8), 0xbbbbbbbbbbbbbbbbull);
+  counts(4, 3, 7);
+
+  // 8. ...so the repeat load is a hit.
+  EXPECT_EQ(fast_.load_aligned(y, 8), 0xbbbbbbbbbbbbbbbbull);
+  counts(5, 3, 8);
+
+  // 9. Partial store to a viewed word with no write handle: store miss,
+  // which overlays the view and learns the handle.
+  fast_.store_aligned(y + 7, 0x55, 1);
+  counts(5, 4, 9);
+
+  // 10. The overlaid view is served by a hit.
+  EXPECT_EQ(fast_.load_aligned(y, 8), 0x55bbbbbbbbbbbbbbull);
+  counts(6, 4, 10);
+
+  // 11. Further partial stores hit through the handle and keep the view.
+  fast_.store_aligned(y, 0x66, 1);
+  counts(7, 4, 11);
+  EXPECT_EQ(fast_.load_aligned(y, 8), 0x55bbbbbbbbbbbb66ull);
+  counts(8, 4, 11);
+
+  // 12. Two half-word stores to an unread word: the first misses into
+  // kWriteOnly, the second hits and completes the full mark, which makes
+  // the view valid without ever reading memory.
+  fast_.store_aligned(z, 0x33333333, 4);
+  counts(8, 5, 12);
+  fast_.store_aligned(z + 4, 0x44444444, 4);
+  counts(9, 5, 12);
+  EXPECT_EQ(fast_.load_aligned(z, 8), 0x4444444433333333ull);
+  counts(10, 5, 12);
 
   // The shortcuts above must not have perturbed the sets themselves.
-  EXPECT_EQ(fast_.read_entries(), 2u);
-  EXPECT_EQ(fast_.write_entries(), 1u);
+  EXPECT_EQ(fast_.read_entries(), 2u) << "z was never read";
+  EXPECT_EQ(fast_.write_entries(), 3u);
   EXPECT_TRUE(fast_.validate_against_memory());
+  fast_.commit_to_memory();
+  EXPECT_EQ(mem[0], 0x1111111111111111ull);
+  EXPECT_EQ(mem[1], 0x55bbbbbbbbbbbb66ull);
+  EXPECT_EQ(mem[2], 0x4444444433333333ull);
+}
+
+// Load, partial store, load: the second load is a line hit and returns the
+// stored bytes over the first load's observation, exactly as the generic
+// byte path composes them.
+TEST_P(SpecBufferEquivalence, PartialStoreOverlaysCachedView) {
+  const uintptr_t a = base() + 5 * sizeof(uint64_t);
+  uint8_t first[8], ref_first[8];
+  fast_load(a, first, 8);
+  ref_load(a, ref_first, 8);
+  ASSERT_EQ(std::memcmp(first, ref_first, 8), 0);
+
+  const uint8_t patch[2] = {0xDE, 0xAD};
+  fast_store(a + 2, patch, 2);
+  ref_store(a + 2, patch, 2);
+
+  const uint64_t hits = fast_.stats().mru_hits;
+  uint8_t second[8], ref_second[8];
+  fast_load(a, second, 8);
+  ref_load(a, ref_second, 8);
+  EXPECT_EQ(std::memcmp(second, ref_second, 8), 0);
+  EXPECT_EQ(second[2], 0xDE);
+  EXPECT_EQ(second[3], 0xAD);
+  EXPECT_EQ(std::memcmp(second + 4, first + 4, 4), 0);
+  EXPECT_EQ(fast_.stats().mru_hits, hits + 1) << "the reload must be a hit";
+
+  // Memory moving under the observed bytes still fails validation.
+  arena_[5] ^= 0xff00000000000000ull;
+  EXPECT_FALSE(fast_.validate_against_memory());
+  arena_[5] ^= 0xff00000000000000ull;
+  EXPECT_TRUE(fast_.validate_against_memory());
+}
+
+// Two partial stores that together cover the word complete its full mark:
+// the next load is a hit and the word has no read-set entry, so memory
+// moving under it cannot fail validation.
+TEST_P(SpecBufferEquivalence, CompletedFullMarkMakesViewValid) {
+  const uintptr_t a = base() + 7 * sizeof(uint64_t);
+  fast_.store_aligned(a + 4, 0x89abcdefull, 4);
+  fast_.store_aligned(a, 0x01234567ull, 4);
+  const uint64_t hits = fast_.stats().mru_hits;
+  const uint64_t misses = fast_.stats().mru_misses;
+  EXPECT_EQ(fast_.load_aligned(a, 8), 0x89abcdef01234567ull);
+  EXPECT_EQ(fast_.stats().mru_hits, hits + 1);
+  EXPECT_EQ(fast_.stats().mru_misses, misses);
+  EXPECT_EQ(fast_.read_entries(), 0u);
+  arena_[7] = 0;
+  EXPECT_TRUE(fast_.validate_against_memory());
+}
+
+// With value prediction on, a confident first-touch read adopts the
+// predicted value; the line caches that value, so a reload hits and
+// returns it too. Validation still settles the bet: it passes when memory
+// reaches the prediction and dooms with the mispredict reason otherwise.
+TEST_P(SpecBufferEquivalence, PredictedFirstTouchCachesPredictedValue) {
+  constexpr uint64_t kStride = 7;
+  fast_.init(GetParam(), 8, 64, {}, GrowableSet::kMaxLog2, nullptr,
+             SpecPredictPolicy{.enabled = true,
+                               .confidence_threshold = 2,
+                               .stride_window = uint64_t{1} << 16,
+                               .table_log2 = 8});
+  alignas(8) uint64_t word = 100;
+  const uintptr_t a = reinterpret_cast<uintptr_t>(&word);
+  // Three conflicting epochs train a confident stride.
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    ASSERT_EQ(fast_.load_aligned(a, 8), word);
+    word += kStride;
+    ASSERT_FALSE(fast_.validate_against_memory());
+    fast_.rearm();
+  }
+
+  // The bet lands: memory reaches the predicted value before the join.
+  EXPECT_EQ(fast_.load_aligned(a, 8), word + kStride);
+  EXPECT_EQ(fast_.load_aligned(a, 8), word + kStride) << "line hit";
+  EXPECT_EQ(fast_.stats().mru_hits, 1u);
+  EXPECT_EQ(fast_.stats().predicted_reads, 1u);
+  word += kStride;
+  EXPECT_TRUE(fast_.validate_against_memory());
+  EXPECT_EQ(fast_.stats().saved_rollbacks, 1u);
+  fast_.rearm();
+
+  // The bet misses: memory stays put, the cached prediction is wrong.
+  EXPECT_EQ(fast_.load_aligned(a, 8), word + kStride);
+  EXPECT_EQ(fast_.load_aligned(a, 8), word + kStride) << "line hit";
+  EXPECT_EQ(fast_.stats().mru_hits, 1u);
+  EXPECT_FALSE(fast_.validate_against_memory());
+  EXPECT_TRUE(fast_.doomed());
+  EXPECT_STREQ(fast_.doom_reason(), SpecBuffer::kMispredictDoomReason);
+}
+
+// exec::load_mem (the IR tiers' load) and Ctx::load (the native API's)
+// share the one hit path: on every word state they return the same view,
+// and a word either of them cached is a line hit for the other.
+TEST_P(SpecBufferEquivalence, ExecLoadMemMatchesCtxLoad) {
+  Runtime::Options o;
+  o.num_cpus = 2;
+  o.buffer_log2 = 8;
+  o.overflow_cap = 64;
+  o.buffer_backend = GetParam();
+  Runtime rt(o);
+  SharedArray<uint64_t> data(rt, 4, 0);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = 0x0101010101010101ull * (i + 1);
+  }
+  bool speculated = false;
+  int compared = 0;
+  int mismatches = 0;
+  int exec_misses = 0;
+  rt.run([&](Ctx& ctx) {
+    Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+      speculated = c.speculative();
+      ThreadData& td = c.thread_data();
+      auto exec_load = [&](const void* p, size_t n) {
+        uint64_t v = 0;
+        exec::load_mem(rt.manager(), td, reinterpret_cast<uint64_t>(p), &v,
+                       n);
+        return v;
+      };
+      auto compare = [&](uint64_t ctx_view, uint64_t exec_view) {
+        ++compared;
+        if (ctx_view != exec_view) ++mismatches;
+      };
+      // data[1]: partial write before any read; data[2]: partial write
+      // after a read; data[3]: full write. data[0] stays read-only.
+      auto* bytes = reinterpret_cast<uint8_t*>(data.data());
+      c.store(bytes + 8 + 3, uint8_t{0xE1});
+      (void)c.load(&data[2]);
+      c.store(bytes + 16 + 6, uint8_t{0xE2});
+      c.store(&data[3], uint64_t{0xE3E3E3E3E3E3E3E3ull});
+      for (size_t i = 0; i < data.size(); ++i) {
+        // Ctx first, then exec: the exec load must be a line hit.
+        uint64_t via_ctx = c.load(&data[i]);
+        const uint64_t misses = td.sbuf.stats().mru_misses;
+        compare(via_ctx, exec_load(&data[i], 8));
+        exec_misses += static_cast<int>(td.sbuf.stats().mru_misses - misses);
+        // Sub-word aligned and unaligned loads of the same word.
+        auto* half = reinterpret_cast<const uint16_t*>(&data[i]) + 1;
+        compare(c.load(half), exec_load(half, 2));
+        auto* odd = reinterpret_cast<const uint32_t*>(bytes + 8 * i + 2);
+        compare(c.load(odd), exec_load(odd, 4));
+      }
+    });
+    rt.join(ctx, s);
+  });
+  EXPECT_TRUE(speculated) << "the child must run on the speculative path";
+  EXPECT_EQ(compared, 12);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(exec_misses, 0) << "exec::load_mem missed a line Ctx::load "
+                               "had just filled";
 }
 
 // Two words kMruLines words apart share one word-view line and evict each
@@ -828,6 +1036,50 @@ TEST_P(SpecBufferEquivalence, InvalidationSurvivesGenerationWrap) {
         << "a line cached before the generation wrapped matched again";
     fast_.reset();
   }
+}
+
+// Join-time validation and commit walk the sets in place, whatever their
+// size. A speculation whose read and write sets each exceed 10 000 words
+// validates, fails validation when exactly one of its words changes in
+// memory, and commits byte-exact (full and partial writes alike).
+TEST_P(SpecBufferEquivalence, LargeSetsValidateAndCommitByteExact) {
+  constexpr size_t kWords = 12288;
+  std::vector<uint64_t> mem(kWords);
+  for (size_t i = 0; i < kWords; ++i) mem[i] = 0x9E3779B97F4A7C15ull * (i + 1);
+  // Sized so the static hash keeps every contiguous word in its table.
+  fast_.init(GetParam(), 15, 64);
+  std::vector<uint64_t> expected = mem;
+  for (size_t i = 0; i < kWords; ++i) {
+    const uintptr_t a = reinterpret_cast<uintptr_t>(&mem[i]);
+    ASSERT_EQ(fast_.load_aligned(a, 8), mem[i]) << "word " << i;
+    if (i % 8 == 7) continue;  // read-only
+    if (i % 2 == 0) {
+      fast_.store_aligned(a, ~mem[i], 8);
+      expected[i] = ~mem[i];
+    } else {
+      const size_t off = i % 8;
+      const uint64_t b = (i * 31 + 7) & 0xff;
+      fast_.store_aligned(a + off, b, 1);
+      expected[i] = overlay_bytes(expected[i], b << (8 * off),
+                                  byte_mask(off, 1));
+    }
+  }
+  ASSERT_FALSE(fast_.doomed());
+  ASSERT_EQ(fast_.read_entries(), kWords);
+  ASSERT_GT(fast_.write_entries(), 10000u);
+
+  EXPECT_TRUE(fast_.validate_against_memory());
+  EXPECT_EQ(fast_.stats().validated_words, kWords);
+  for (size_t i : {size_t{0}, size_t{1}, size_t{4095}, size_t{4096},
+                   kWords / 2, kWords - 2, kWords - 1}) {
+    mem[i] ^= uint64_t{1} << 40;
+    EXPECT_FALSE(fast_.validate_against_memory()) << "word " << i;
+    mem[i] ^= uint64_t{1} << 40;
+  }
+  EXPECT_TRUE(fast_.validate_against_memory());
+
+  fast_.commit_to_memory();
+  EXPECT_EQ(mem, expected) << "commit differs from the buffered writes";
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SpecBufferEquivalence,
