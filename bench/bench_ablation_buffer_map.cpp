@@ -5,15 +5,13 @@
 // instead to use static memory.").
 //
 // Every buffered benchmark runs once per backend (arg 0: 0 = static-hash,
-// 1 = growable-log, 2 = adaptive, 3 = numa-sharded), so the overflow-doom
-// vs resize vs learn-and-flip trade shows up as a side-by-side comparison in one
-// report. Each iteration ends with SpecBuffer::rearm() — the per-
-// speculation re-arm a virtual-CPU slot performs — so the adaptive
-// backend genuinely flips mid-sweep once its overflow threshold is
-// crossed; the SpecBufferStats counters are accumulated across iterations
+// 1 = growable-log), so the overflow-doom vs resize trade shows up as a
+// side-by-side comparison in one report. Each iteration ends with
+// SpecBuffer::rearm() — the per-speculation re-arm a virtual-CPU slot
+// performs; the SpecBufferStats counters are accumulated across iterations
 // and attached to each run (resizes, average probe length, validated
-// words, overflow exhaustions, backend flips) so a throughput difference
-// carries its cost breakdown.
+// words, overflow exhaustions) so a throughput difference carries its cost
+// breakdown.
 //
 // Measures buffered store+load streams and the validate/commit/finalize
 // cycle for thread footprints of various sizes.
@@ -48,8 +46,6 @@ void attach_counters(benchmark::State& state, const SpecBuffer& buf,
   state.counters["validated_words"] =
       Counter(static_cast<double>(s.validated_words), Counter::kAvgIterations);
   state.counters["avg_probe_len"] = s.avg_probe_length();
-  state.counters["backend_flips"] =
-      Counter(static_cast<double>(s.backend_flips), Counter::kAvgIterations);
 }
 
 std::vector<uint64_t>& arena() {
@@ -96,7 +92,7 @@ void BM_SpecBufferStoreLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SpecBufferStoreLoad)
     ->ArgNames({"backend", "n"})
-    ->ArgsProduct({{0, 1, 2, 3}, {64, 1024, 16384}});
+    ->ArgsProduct({{0, 1}, {64, 1024, 16384}});
 
 void BM_UnorderedMapStoreLoad(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -138,7 +134,7 @@ void BM_ValidateCommitCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateCommitCycle)
     ->ArgNames({"backend", "n"})
-    ->ArgsProduct({{0, 1, 2, 3}, {64, 1024, 16384}});
+    ->ArgsProduct({{0, 1}, {64, 1024, 16384}});
 
 // The offsets stack (static hash) / dense log (growable log) is what keeps
 // small-footprint threads fast even with a large table: reset cost must
@@ -159,18 +155,13 @@ void BM_ResetSmallFootprintLargeMap(benchmark::State& state) {
 BENCHMARK(BM_ResetSmallFootprintLargeMap)
     ->ArgNames({"backend"})
     ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
+    ->Arg(1);
 
 // Where the backends genuinely diverge: a footprint far beyond the
 // configured capacity. The static hash dooms every iteration (the whole
 // stream after the exhaustion is wasted work destined for rollback); the
-// growable log resizes and completes; the adaptive backend dooms for its
-// first few iterations, crosses the overflow threshold, flips at the next
-// rearm and completes from then on — its doom_rate lands between the two
-// fixed backends and backend_flips records the switch. Runs all three
-// from the same tiny 2^8 table.
+// growable log resizes and completes. Both run from the same tiny 2^8
+// table.
 void BM_OverCapacityStream(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(1));
   auto addrs = make_addresses(n);
@@ -199,7 +190,7 @@ void BM_OverCapacityStream(benchmark::State& state) {
 }
 BENCHMARK(BM_OverCapacityStream)
     ->ArgNames({"backend", "n"})
-    ->ArgsProduct({{0, 1, 2, 3}, {4096, 65536}});
+    ->ArgsProduct({{0, 1}, {4096, 65536}});
 
 }  // namespace
 

@@ -50,11 +50,8 @@ using namespace mutls;
 
 constexpr int kRatioPcts[] = {1, 5, 10, 20, 50, 100};
 constexpr BufferBackend kBackends[] = {BufferBackend::kStaticHash,
-                                       BufferBackend::kGrowableLog,
-                                       BufferBackend::kAdaptive,
-                                       BufferBackend::kNumaSharded};
-constexpr const char* kBackendNames[] = {"static-hash", "growable-log",
-                                         "adaptive", "numa-sharded"};
+                                       BufferBackend::kGrowableLog};
+constexpr const char* kBackendNames[] = {"static-hash", "growable-log"};
 static_assert(sizeof(kBackendNames) / sizeof(kBackendNames[0]) ==
               sizeof(kBackends) / sizeof(kBackends[0]));
 

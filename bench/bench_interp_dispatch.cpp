@@ -133,9 +133,7 @@ int main(int argc, char** argv) {
                                        exec::DispatchMode::kDirectThreaded,
                                        exec::DispatchMode::kCompiledRegion};
   const BufferBackend kBackends[] = {BufferBackend::kStaticHash,
-                                     BufferBackend::kGrowableLog,
-                                     BufferBackend::kAdaptive,
-                                     BufferBackend::kNumaSharded};
+                                     BufferBackend::kGrowableLog};
 
   bool ok = true;
   for (const Kernel& k : kernels) {

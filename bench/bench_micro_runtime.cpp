@@ -12,8 +12,7 @@ using namespace mutls;
 
 // Warm-up fork/joins executed before the timed loop: enough for every
 // virtual-CPU slot to pay its arena segments, pool classes along the
-// growable doubling ladder, retired local frames — and for the adaptive
-// backend to cross its overflow threshold and flip. Past this point the
+// growable doubling ladder and retired local frames. Past this point the
 // runtime's zero-allocation steady-state invariant holds.
 constexpr int kAllocWarmup = 8;
 
@@ -95,10 +94,6 @@ void attach_buffer_counters(benchmark::State& state, const RunStats& rs) {
       Counter(static_cast<double>(b.mru_hits), Counter::kAvgIterations);
   state.counters["mru_misses"] =
       Counter(static_cast<double>(b.mru_misses), Counter::kAvgIterations);
-  // Adaptive backend: speculations that started on a freshly flipped
-  // backend (0 for the fixed backends).
-  state.counters["backend_flips"] =
-      Counter(static_cast<double>(b.backend_flips), Counter::kAvgIterations);
   // Value prediction: all zero with prediction disabled (the default
   // here), but always *reported* — the bench_json micro gate fails when a
   // buffer-counter run stops carrying them, the same way it polices
@@ -117,8 +112,7 @@ void BM_BufferedLoadStore(benchmark::State& state) {
   // Measures the speculative access path: each iteration forks one
   // speculation doing a fixed batch of buffered read-modify-writes (the
   // fork/join round trip amortizes over the batch), once per SpecBuffer
-  // backend (arg: 0 = static-hash, 1 = growable-log, 2 = adaptive,
-  // 3 = numa-sharded).
+  // backend (arg: 0 = static-hash, 1 = growable-log).
   auto backend = static_cast<BufferBackend>(state.range(0));
   constexpr int64_t kBatch = 4096;
   Runtime rt({.num_cpus = 1, .buffer_log2 = 16, .buffer_backend = backend});
@@ -146,17 +140,12 @@ void BM_BufferedLoadStore(benchmark::State& state) {
 BENCHMARK(BM_BufferedLoadStore)
     ->ArgNames({"backend"})
     ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
+    ->Arg(1);
 
 void BM_BufferedLargeFootprint(benchmark::State& state) {
   // A speculative footprint larger than the configured table (2^8 slots,
   // 16K words touched): the static hash dooms and rolls back, the growable
   // log resizes and commits — this is the trade the backend choice buys.
-  // The adaptive backend shows the learning curve: it pays the static
-  // rollbacks until its slot crosses the overflow threshold, flips, and
-  // commits from then on (visible as rollbacks + backend_flips + commits).
   auto backend = static_cast<BufferBackend>(state.range(0));
   Runtime rt({.num_cpus = 1,
               .buffer_log2 = 8,
@@ -194,9 +183,7 @@ void BM_BufferedLargeFootprint(benchmark::State& state) {
 BENCHMARK(BM_BufferedLargeFootprint)
     ->ArgNames({"backend"})
     ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
+    ->Arg(1);
 
 void BM_LiveInTransfer(benchmark::State& state) {
   Runtime rt({.num_cpus = 1, .buffer_log2 = 10});

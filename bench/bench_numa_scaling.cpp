@@ -1,6 +1,6 @@
-// NUMA-aware scaling bench: the kNumaSharded slot store plus the
-// per-node idle freelists, swept over faked topology shapes so the same
-// cells run (and mean the same thing) on any box, including single-core CI.
+// NUMA-aware scaling bench: the per-node idle freelists on the default
+// buffer store, swept over faked topology shapes so the same cells run
+// (and mean the same thing) on any box, including single-core CI.
 //
 // Each cell fills the whole virtual-CPU pool every round — four children
 // forked back to back, each speculatively bumping its own contiguous
@@ -8,15 +8,12 @@
 // placement runs out of home ranks and the work-stealing fallback is
 // exercised deterministically: with the root on node 0, every rank the
 // claim loop pulls from another node's freelist counts one
-// cross_node_claims. The sharded store's routing shows up as
-// shard_probe_steps (one per find/insert) and local_commit_words (commit
-// words streamed from the committing slot's home shard).
+// cross_node_claims.
 //
 // Machine-readable output: one "NUMA key=value ..." line per cell;
 // scripts/bench_json.py parses these into the numa_scaling section of
-// BENCH_results.json and enforces the locality invariants (nonzero
-// routing everywhere, nonzero steals on multi-node shapes, zero
-// steady-state allocations).
+// BENCH_results.json and enforces the cell invariants (nonzero steals on
+// multi-node shapes, nonzero commits, zero steady-state allocations).
 //
 // Flags:
 //   --quick     CI smoke: fewer rounds per cell
@@ -33,16 +30,13 @@ namespace {
 using namespace mutls;
 
 constexpr int kCpus = 4;
-constexpr size_t kWordsPerChild = 512;  // 4 KiB: one region at the default
-                                        // numa_shard_region_log2 = 12
+constexpr size_t kWordsPerChild = 512;  // 4 KiB per child
 constexpr int kWarmupRounds = 8;
 
 struct CellResult {
   double wall_s = 0.0;
   uint64_t forks = 0;
   uint64_t cross_node_claims = 0;
-  uint64_t shard_probe_steps = 0;
-  uint64_t local_commit_words = 0;
   uint64_t commits = 0;
   uint64_t rollbacks = 0;
   uint64_t alloc_events = 0;  // post-warm-up only
@@ -53,7 +47,6 @@ CellResult run_cell(int nodes, int rounds) {
   o.num_cpus = kCpus;
   o.buffer_log2 = 12;
   o.overflow_cap = 4096;
-  o.buffer_backend = BufferBackend::kNumaSharded;
   o.numa_nodes = nodes;
   Runtime rt(o);
 
@@ -94,10 +87,6 @@ CellResult run_cell(int nodes, int rounds) {
   res.forks = rs.critical.forks + rs.speculative.forks;
   res.cross_node_claims =
       rs.critical.cross_node_claims + rs.speculative.cross_node_claims;
-  res.shard_probe_steps = rs.critical.buffer.shard_probe_steps +
-                          rs.speculative.buffer.shard_probe_steps;
-  res.local_commit_words = rs.critical.buffer.local_commit_words +
-                           rs.speculative.buffer.local_commit_words;
   res.commits = rs.speculative.commits;
   res.rollbacks = rs.speculative.rollbacks;
   uint64_t total_allocs = rs.speculative.buffer.alloc_events +
@@ -118,47 +107,38 @@ int main(int argc, char** argv) {
   const int rounds = quick ? 50 : 400;
   const int node_counts[] = {1, 2, 4};
 
-  std::printf("NUMA scaling — numa-sharded store, %d cpus, %d rounds/cell\n",
+  const char* backend = buffer_backend_name(Runtime::Options{}.buffer_backend);
+  std::printf("NUMA scaling — %s store, %d cpus, %d rounds/cell\n", backend,
               kCpus, rounds);
-  std::printf("%-6s %9s %10s %12s %12s %12s %8s %6s\n", "nodes", "wall_s",
-              "forks", "cross_node", "probe_steps", "local_words", "commits",
-              "alloc");
+  std::printf("%-6s %9s %10s %12s %8s %6s\n", "nodes", "wall_s", "forks",
+              "cross_node", "commits", "alloc");
   bool ok = true;
   for (int nodes : node_counts) {
     CellResult r = run_cell(nodes, rounds);
-    std::printf("%-6d %9.3f %10llu %12llu %12llu %12llu %8llu %6llu\n",
-                nodes, r.wall_s, static_cast<unsigned long long>(r.forks),
+    std::printf("%-6d %9.3f %10llu %12llu %8llu %6llu\n", nodes, r.wall_s,
+                static_cast<unsigned long long>(r.forks),
                 static_cast<unsigned long long>(r.cross_node_claims),
-                static_cast<unsigned long long>(r.shard_probe_steps),
-                static_cast<unsigned long long>(r.local_commit_words),
                 static_cast<unsigned long long>(r.commits),
                 static_cast<unsigned long long>(r.alloc_events));
     std::printf(
-        "NUMA nodes=%d cpus=%d backend=numa-sharded rounds=%d wall_s=%.3f "
-        "forks=%llu cross_node_claims=%llu shard_probe_steps=%llu "
-        "local_commit_words=%llu commits=%llu rollbacks=%llu "
+        "NUMA nodes=%d cpus=%d backend=%s rounds=%d wall_s=%.3f "
+        "forks=%llu cross_node_claims=%llu commits=%llu rollbacks=%llu "
         "alloc_events=%llu\n",
-        nodes, kCpus, rounds, r.wall_s,
+        nodes, kCpus, backend, rounds, r.wall_s,
         static_cast<unsigned long long>(r.forks),
         static_cast<unsigned long long>(r.cross_node_claims),
-        static_cast<unsigned long long>(r.shard_probe_steps),
-        static_cast<unsigned long long>(r.local_commit_words),
         static_cast<unsigned long long>(r.commits),
         static_cast<unsigned long long>(r.rollbacks),
         static_cast<unsigned long long>(r.alloc_events));
     // The cell invariants bench_json re-checks; failing them here makes
     // the smoke run fail loudly even without the JSON step.
-    if (r.shard_probe_steps == 0) {
-      std::printf("NUMA-FAIL nodes=%d no shard routing recorded\n", nodes);
-      ok = false;
-    }
     if (nodes > 1 && r.cross_node_claims == 0) {
       std::printf("NUMA-FAIL nodes=%d expected work-stealing claims\n",
                   nodes);
       ok = false;
     }
-    if (nodes == 1 && r.local_commit_words == 0) {
-      std::printf("NUMA-FAIL nodes=1 single shard must commit locally\n");
+    if (r.commits == 0) {
+      std::printf("NUMA-FAIL nodes=%d no speculation committed\n", nodes);
       ok = false;
     }
     if (r.alloc_events != 0) {

@@ -194,9 +194,7 @@ int main(int argc, char** argv) {
   if (args.cpus > static_cast<int>(hw)) args.cpus = static_cast<int>(hw);
 
   const BufferBackend backends[] = {BufferBackend::kStaticHash,
-                                    BufferBackend::kGrowableLog,
-                                    BufferBackend::kAdaptive,
-                                    BufferBackend::kNumaSharded};
+                                    BufferBackend::kGrowableLog};
   const double skews[] = {0.0, 1.1};
   const int batch_sizes[] = {128, 512};
   const uint64_t cells =
@@ -242,7 +240,7 @@ int main(int argc, char** argv) {
             "p99_ns=%llu p999_ns=%llu commits=%llu rollbacks=%llu "
             "doom_rate=%.4f malformed=%llu get_hits=%llu get_misses=%llu "
             "puts=%llu evictions=%llu alloc_events=%llu overflow_events=%llu "
-            "resize_events=%llu backend_flips=%llu predict=%s "
+            "resize_events=%llu predict=%s "
             "predicted_reads=%llu predictor_hits=%llu "
             "predictor_mispredicts=%llu saved_rollbacks=%llu\n",
             buffer_backend_name(backend), skew_name, batch, r.duration_s,
@@ -264,8 +262,6 @@ int main(int argc, char** argv) {
                 r.stats.speculative.buffer.overflow_events),
             static_cast<unsigned long long>(
                 r.stats.speculative.buffer.resize_events),
-            static_cast<unsigned long long>(
-                r.stats.speculative.buffer.backend_flips),
             args.predict ? "on" : "off",
             static_cast<unsigned long long>(
                 r.stats.speculative.buffer.predicted_reads),

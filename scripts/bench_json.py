@@ -21,10 +21,10 @@ per cell, parsed here into a validated fig11 section that fails loudly on
 any missing cell of the matrix.
 
 The NUMA scaling bench (bench_numa_scaling) contributes a numa_scaling
-section: per-node-count cells of the kNumaSharded store and the per-node
-idle freelists over faked topologies, validated for nonzero locality
-counters (shard routing, cross-node work-stealing claims) and a zero
-post-warm-up allocation count.
+section: per-node-count cells of the per-node idle freelists over faked
+topologies on the default store, validated for cross-node work-stealing
+claims on the multi-node shapes, nonzero commits and a zero post-warm-up
+allocation count.
 
 The sustained-load serving bench (bench_sustained_load) contributes a
 sustained_load section: per-{backend x skew x batch} cells with req/s,
@@ -83,10 +83,11 @@ FIG11_CELL_KEYS = ("epochs", "conflicts", "commits", "rollbacks",
 
 # Google-Benchmark binaries whose buffered benches sweep the SpecBuffer
 # backends; their per-run counters (resize_events, avg_probe_len,
-# validated_words, overflow_events, mru_hits/misses, backend_flips, the
-# fork-latency ledger split) are the cost breakdown behind any backend or
-# hot-path comparison, so they ride along in the JSON document. The ablation binary rides along too so a backend
-# perf regression trips the perf trajectory, not just correctness CI.
+# validated_words, overflow_events, mru_hits/misses, the fork-latency
+# ledger split) are the cost breakdown behind any backend or hot-path
+# comparison, so they ride along in the JSON document. The ablation binary
+# rides along too so a backend perf regression trips the perf trajectory,
+# not just correctness CI.
 MICRO_BENCH = "bench_micro_runtime"
 MICRO_FILTER = "Buffered|ForkJoin"
 ABLATION_BENCH = "bench_ablation_buffer_map"
@@ -108,19 +109,16 @@ SUSTAINED_CELL_KEYS = ("duration_s", "req_per_s", "p50_ns", "p99_ns",
 # Every backend the swept benches must report. A backend silently missing
 # from a sweep (dropped Arg, renamed label, dispatch regression) would
 # otherwise just shrink the document — fail loudly instead.
-EXPECTED_BACKENDS = ("static-hash", "growable-log", "adaptive",
-                     "numa-sharded")
+EXPECTED_BACKENDS = ("static-hash", "growable-log")
 
-# NUMA scaling bench: the kNumaSharded store and the per-node idle
-# freelists swept over faked topology shapes, one "NUMA key=value ..."
-# line per node count. Validated into the numa_scaling section: every
-# node count must report, with nonzero shard routing everywhere, nonzero
-# work-stealing claims on the multi-node shapes, local commit words on
-# the single-shard shape, and a zero post-warm-up allocation count.
+# NUMA scaling bench: the per-node idle freelists swept over faked
+# topology shapes on the default store, one "NUMA key=value ..." line per
+# node count. Validated into the numa_scaling section: every node count
+# must report, with work-stealing claims on the multi-node shapes, nonzero
+# commits and a zero post-warm-up allocation count.
 NUMA_BENCH = "bench_numa_scaling"
 NUMA_NODE_COUNTS = (1, 2, 4)
-NUMA_CELL_KEYS = ("wall_s", "forks", "cross_node_claims",
-                  "shard_probe_steps", "local_commit_words", "commits",
+NUMA_CELL_KEYS = ("wall_s", "forks", "cross_node_claims", "commits",
                   "rollbacks", "alloc_events")
 
 # Execution-engine dispatch microbench: the native-kernel IR programs swept
@@ -139,7 +137,7 @@ DISPATCH_CELL_KEYS = ("wall_ns", "iters", "instrs", "ns_per_instr",
 COUNTER_KEYS = (
     "items_per_second", "resize_events", "overflow_events",
     "validated_words", "avg_probe_len", "rollbacks", "commits",
-    "mru_hits", "mru_misses", "backend_flips", "alloc_events",
+    "mru_hits", "mru_misses", "alloc_events",
     "predicted_reads", "predictor_hits", "predictor_mispredicts",
     "saved_rollbacks",
     "find_cpu_ns", "fork_arm_ns", "fork_handoff_ns", "join_ns",
@@ -432,12 +430,9 @@ def run_dispatch(bench_dir: Path, timeout: int, quick: bool):
 def run_numa(bench_dir: Path, timeout: int, quick: bool):
     """Run the NUMA scaling sweep and validate its cell matrix.
 
-    Every faked node count must report a kNumaSharded cell with every
-    required field; the locality counters must prove the machinery
-    actually engaged (routing decisions everywhere, cross-node steals on
-    multi-node shapes) and the steady state must stay allocation-free.
-    A missing or mislabeled backend fails the run loudly: the section
-    exists to catch the sharded store falling out of the sweep.
+    Every faked node count must report a cell with every required field;
+    the multi-node shapes must show cross-node steals, every shape must
+    commit, and the steady state must stay allocation-free.
     """
     exe = bench_dir / NUMA_BENCH
     entry = {"bench": NUMA_BENCH, "status": "missing"}
@@ -466,32 +461,24 @@ def run_numa(bench_dir: Path, timeout: int, quick: bool):
     problems = []
     seen = {}
     for c in cells:
-        if c.get("backend") != "numa-sharded":
-            problems.append(f"cell nodes={c.get('nodes')} reports backend "
-                            f"{c.get('backend')!r}, not numa-sharded")
-            continue
         missing = [k for k in NUMA_CELL_KEYS if k not in c]
         if missing:
             problems.append(f"cell nodes={c.get('nodes')} missing {missing}")
             continue
         seen[c.get("nodes")] = c
-    missing_backend = False
     for nodes in NUMA_NODE_COUNTS:
         c = seen.get(nodes)
         if c is None:
-            missing_backend = True
-            problems.append(f"numa-sharded cell for nodes={nodes} missing")
+            problems.append(f"cell for nodes={nodes} missing")
             continue
-        if c["shard_probe_steps"] <= 0:
-            problems.append(f"nodes={nodes}: no shard routing recorded")
         if nodes > 1 and c["cross_node_claims"] <= 0:
             problems.append(f"nodes={nodes}: no work-stealing claims")
-        if nodes == 1 and c["local_commit_words"] <= 0:
-            problems.append("nodes=1: the single shard must commit locally")
+        if c["commits"] <= 0:
+            problems.append(f"nodes={nodes}: no speculation committed")
         if c["alloc_events"] != 0:
             problems.append(f"nodes={nodes}: post-warm-up allocations")
     if problems:
-        entry["status"] = "missing-backend" if missing_backend else "invalid"
+        entry["status"] = "invalid"
         entry["problems"] = problems
         for p in problems:
             print(f"[bench_json] {NUMA_BENCH}: {p}", file=sys.stderr)
@@ -630,8 +617,7 @@ def main() -> int:
                     help="skip the rollback-sensitivity (value prediction) "
                          "sweep")
     ap.add_argument("--no-numa", action="store_true",
-                    help="skip the NUMA scaling (sharded store + per-node "
-                         "freelist) sweep")
+                    help="skip the NUMA scaling (per-node freelist) sweep")
     ap.add_argument("--baseline", default=None,
                     help="previous BENCH_results.json whose hot-path rows "
                          "are embedded as the before of a before/after")

@@ -36,13 +36,6 @@ class Ctx {
   Runtime& runtime() const { return *rt_; }
   ThreadData& thread_data() const { return *td_; }
 
-  // The buffer backend actually serving this thread's virtual-CPU slot.
-  // Equals Options::buffer_backend except under kAdaptive, where a slot
-  // that accumulated overflow events reports the growable log it flipped
-  // to (diagnostics; the count of flips rides in ThreadStats as
-  // buffer.backend_flips).
-  BufferBackend buffer_backend() const { return td_->sbuf.active_backend(); }
-
   // True when a T can ever take the aligned-word fast path: power-of-two
   // size <= 8, checked at compile time so oversized types skip the branch;
   // the per-address natural-alignment half of the rule is

@@ -191,12 +191,8 @@ class Runtime {
     size_t overflow_cap = 4096;
     // Speculative-buffer backend (see "Choosing a buffer backend" in the
     // README): kStaticHash dooms the speculation on overflow pressure,
-    // kGrowableLog resizes instead, kAdaptive starts each virtual-CPU slot
-    // on the static hash and flips it to the growable log after repeated
-    // overflow events (the two knobs below; ignored otherwise).
+    // kGrowableLog resizes instead.
     BufferBackend buffer_backend = BufferBackend::kStaticHash;
-    uint64_t adaptive_overflow_threshold = 4;
-    uint64_t adaptive_calm_hysteresis = 16;
     // Value prediction (see "Value prediction" in the README): when
     // enabled, each virtual-CPU slot trains a last-value/stride predictor
     // on conflicting read-set words and lets confident first-touch reads
@@ -216,12 +212,9 @@ class Runtime {
     int handoff_spin_budget = 0;
     // NUMA shape (see "NUMA-aware scaling" in the README): 0 probes the
     // machine topology (sysfs, single-node fallback); a positive value
-    // fakes that many nodes — per-node idle freelists, same-node-first
-    // child placement, and the kNumaSharded backend's shard count all
-    // derive from it. numa_shard_region_log2 sets the contiguous byte
-    // range one shard covers (kNumaSharded only).
+    // fakes that many nodes — per-node idle freelists and same-node-first
+    // child placement derive from it.
     int numa_nodes = 0;
-    int numa_shard_region_log2 = 12;
     // How long run() waits for a protocol violation (a fork the user never
     // joined) to drain before CHECK-failing instead of hanging.
     uint64_t missing_join_timeout_ns = 5'000'000'000ull;

@@ -62,11 +62,8 @@ class Interpreter final : private exec::ExecHost {
     int num_cpus = 4;
     int buffer_log2 = 14;
     size_t overflow_cap = 4096;
-    // Speculative-buffer backend of every virtual CPU (SpecBuffer API),
-    // plus the kAdaptive flip knobs (ignored by the other backends).
+    // Speculative-buffer backend of every virtual CPU (SpecBuffer API).
     BufferBackend buffer_backend = BufferBackend::kStaticHash;
-    uint64_t adaptive_overflow_threshold = 4;
-    uint64_t adaptive_calm_hysteresis = 16;
     // Value-prediction knobs (ManagerConfig::predict_* /
     // SpecBuffer::PredictPolicy): off by default; see the README's
     // "Value prediction" section.
@@ -80,11 +77,10 @@ class Interpreter final : private exec::ExecHost {
     // Worker handoff spin budget; 0 calibrates per NUMA node at first
     // manager construction (see ManagerConfig::handoff_spin_budget).
     int handoff_spin_budget = 0;
-    // NUMA shape (ManagerConfig::numa_nodes / numa_shard_region_log2):
-    // 0 probes the machine topology; a positive value fakes that many
-    // nodes for the per-node freelists and the kNumaSharded backend.
+    // NUMA shape (ManagerConfig::numa_nodes): 0 probes the machine
+    // topology; a positive value fakes that many nodes for the per-node
+    // freelists.
     int numa_nodes = 0;
-    int numa_shard_region_log2 = 12;
     // Execution-engine dispatch tier (exec/dispatch.h). kDirectThreaded is
     // the default; kSwitch is the original per-op loop kept as the
     // semantic oracle and fallback; kCompiledRegion additionally runs

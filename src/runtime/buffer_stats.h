@@ -16,8 +16,7 @@ namespace mutls {
 struct SpecBufferStats {
   uint64_t overflow_events = 0;  // capacity-exhaustion dooms: the bounded
                                  // overflow map (static hash) or the hard
-                                 // index cap (growable log). Feeds the
-                                 // adaptive flip threshold uniformly.
+                                 // index cap (growable log)
   uint64_t resize_events = 0;    // growable-log: index rehashes
   uint64_t probe_steps = 0;      // open-addressing steps beyond the home slot
   uint64_t probe_ops = 0;        // probed lookups (avg length = steps / ops)
@@ -25,10 +24,6 @@ struct SpecBufferStats {
   uint64_t mru_hits = 0;         // word loads and stores served by their
                                  // word-view line without a set probe
   uint64_t mru_misses = 0;       // ones that had to probe the sets
-  uint64_t backend_flips = 0;    // adaptive: this speculation started on a
-                                 // freshly flipped backend (the flipped
-                                 // *state* persists per slot; the counter,
-                                 // like the rest, is per speculation)
   uint64_t alloc_events = 0;     // heap-fallback allocations the slot's
                                  // arena performed during this speculation
                                  // (segment growth, pool misses, oversized
@@ -47,13 +42,6 @@ struct SpecBufferStats {
                                  // (some predicted read saw memory change
                                  // under it) — each one is a rollback the
                                  // unpredicted runtime provably pays
-  uint64_t shard_probe_steps = 0;   // numa-sharded: address-range routing
-                                    // decisions taken (one per find/insert
-                                    // reaching the sharded store)
-  uint64_t local_commit_words = 0;  // numa-sharded: write-set words that
-                                    // resided in the committing slot's
-                                    // *home* shard — the node-local
-                                    // fraction of the commit stream
 
   void clear() { *this = SpecBufferStats{}; }
 
@@ -72,14 +60,11 @@ struct SpecBufferStats {
     validated_words += o.validated_words;
     mru_hits += o.mru_hits;
     mru_misses += o.mru_misses;
-    backend_flips += o.backend_flips;
     alloc_events += o.alloc_events;
     predicted_reads += o.predicted_reads;
     predictor_hits += o.predictor_hits;
     predictor_mispredicts += o.predictor_mispredicts;
     saved_rollbacks += o.saved_rollbacks;
-    shard_probe_steps += o.shard_probe_steps;
-    local_commit_words += o.local_commit_words;
     return *this;
   }
 };

@@ -24,7 +24,7 @@ inline const char* fork_model_name(ForkModel m) {
 // property of the whole ThreadManager (every virtual CPU's SpecBuffer is
 // configured identically), resolved once at construction; the per-access
 // dispatch in SpecBuffer is a single predictable branch, never a virtual
-// call.
+// call. Each one wins somewhere (README "Choosing a buffer backend").
 enum class BufferBackend : int {
   // The paper's static hash map: one slot per key, bounded overflow
   // ("temporary buffer"); exhausting the overflow dooms the thread.
@@ -32,25 +32,12 @@ enum class BufferBackend : int {
   // Open-addressed growable index over an append-only log: capacity
   // pressure triggers a resize instead of a rollback.
   kGrowableLog = 1,
-  // Per-slot selection between the two: a virtual CPU starts on
-  // kStaticHash and flips to kGrowableLog after repeated overflow events
-  // (and back once the footprint calms down); see
-  // SpecBuffer::AdaptivePolicy. The active backend can differ from slot
-  // to slot, but every access still dispatches on one plain enum.
-  kAdaptive = 2,
-  // NUMA-sharded slot store: each read/write set is split by address range
-  // into per-node growable sub-stores, so validation and commit of large
-  // footprints stream from node-local memory instead of hopping a single
-  // interleaved table (see SpecBuffer::NumaPolicy).
-  kNumaSharded = 3,
 };
 
 inline const char* buffer_backend_name(BufferBackend b) {
   switch (b) {
     case BufferBackend::kStaticHash: return "static-hash";
     case BufferBackend::kGrowableLog: return "growable-log";
-    case BufferBackend::kAdaptive: return "adaptive";
-    case BufferBackend::kNumaSharded: return "numa-sharded";
   }
   return "?";
 }

@@ -161,8 +161,7 @@ class GlobalBuffer {
   GlobalBuffer(const GlobalBuffer&) = delete;
   GlobalBuffer& operator=(const GlobalBuffer&) = delete;
 
-  // `stats` is the owning SpecBuffer's counter block (shared by whichever
-  // backend is active, so counters survive an adaptive flip).
+  // `stats` is the owning SpecBuffer's counter block.
   void init(int log2_entries, size_t overflow_cap, SpecBufferStats* stats);
 
   // --- word-granular slot primitives (driven by SpecBuffer) ---

@@ -85,26 +85,6 @@ void GrowableSet::grow_log() {
   log_cap_ = cap;
 }
 
-void GrowableSet::reserve_entries(size_t entries) {
-  if (entries == 0 || index_ == nullptr) return;
-  if (entries > log_cap_) {
-    size_t cap = log_cap_;
-    while (cap < entries) cap *= 2;
-    Entry* fresh =
-        static_cast<Entry*>(arena_grab(arena_, cap * sizeof(Entry)));
-    std::memcpy(fresh, log_, log_size_ * sizeof(Entry));
-    arena_release(arena_, log_, log_cap_ * sizeof(Entry));
-    log_ = fresh;
-    log_cap_ = cap;
-  }
-  int target = log2_;
-  while (target < max_log2_ &&
-         entries > (size_t{1} << target) - (size_t{1} << target) / 4) {
-    ++target;
-  }
-  if (target != log2_) rebuild_index(target);
-}
-
 void GrowableSet::clear() {
   for (size_t i = 0; i < log_size_; ++i) index_[log_[i].slot] = 0;
   log_size_ = 0;

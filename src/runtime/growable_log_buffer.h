@@ -137,14 +137,6 @@ class GrowableSet {
   }
   bool resized_this_epoch() const { return resized_this_epoch_; }
 
-  // Pre-sizes both arrays for `entries` entries — the index at or below
-  // its 3/4 load factor (clamped to the hard cap) — so a speculation of
-  // that footprint walks no doubling ladder. Used to seed a freshly
-  // flipped adaptive slot at the footprint the static hash observed.
-  // Deliberately not counted as resize_events: it happens between
-  // speculations, not under one.
-  void reserve_entries(size_t entries);
-
   // Empties the set in O(entries), not O(capacity); keeps the grown index.
   void clear();
 
@@ -209,13 +201,6 @@ class GrowableLogBuffer {
   // `arena` backs both sets' arrays through its persistent pool.
   void init(int log2_entries, size_t overflow_cap, SpecBufferStats* stats,
             int max_log2 = GrowableSet::kMaxLog2, Arena* arena = nullptr);
-
-  // Pre-sizes both sets for `entries` entries (see
-  // GrowableSet::reserve_entries).
-  void reserve(size_t entries) {
-    read_set_.reserve_entries(entries);
-    write_set_.reserve_entries(entries);
-  }
 
   // --- word-granular slot primitives (driven by SpecBuffer) ---
 

@@ -12,19 +12,9 @@
 //   kGrowableLog — open-addressed growable index over an append-only log
 //                  ("runtime/growable_log_buffer.h"); capacity pressure
 //                  resizes instead of dooming.
-//   kAdaptive    — per-slot selection between the two: starts on
-//                  kStaticHash, flips to kGrowableLog after repeated
-//                  overflow events (and back once the footprint calms
-//                  down). The flip happens in rearm(), i.e. when the
-//                  owning virtual-CPU slot is re-armed for its next
-//                  speculation — never mid-speculation.
-//   kNumaSharded — per-node sub-stores split by address range
-//                  ("runtime/numa_sharded_buffer.h"); validation and
-//                  commit of large footprints stream one node-local
-//                  shard at a time. Resizes like kGrowableLog.
 //
-// Dispatch is static: the *active* backend enum is resolved when the slot
-// is (re-)armed, and every operation branches once to a fully inlined
+// Dispatch is static: the backend enum is fixed when the buffer is
+// configured, and every operation branches once to a fully inlined
 // backend body — no virtual call on the load/store hot path.
 //
 // The backends themselves are just slot stores: they expose the
@@ -58,11 +48,10 @@
 // no backend dispatch, probe or doom check; only misses, stores and
 // invalidation reach the backend.
 //
-// The double dispatch in validate_against/merge_into makes the join-time
-// pairings generic, so buffers of *different* backends compose — which is
-// also what makes an adaptive tree with mixed-backend siblings work: a
-// flipped slot merges into (or validates against) an unflipped one through
-// the same two templates.
+// Every virtual-CPU slot of a ThreadManager runs the same backend, so the
+// join-time pairings in validate_against/merge_into walk this buffer's
+// store against the joiner's store of the same type; both check that the
+// two buffers agree.
 //
 // Value prediction (PredictPolicy, off by default) is a policy layer over
 // the same primitives: a confident per-slot ValuePredictor entry lets a
@@ -74,7 +63,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 
@@ -83,65 +71,37 @@
 #include "runtime/global_buffer.h"
 #include "runtime/growable_log_buffer.h"
 #include "runtime/memory.h"
-#include "runtime/numa_sharded_buffer.h"
 #include "runtime/value_predictor.h"
 #include "support/arena.h"
 #include "support/check.h"
 
 namespace mutls {
 
-// The adaptive flip policy (kAdaptive only; ignored otherwise). The two
-// knobs surface as ManagerConfig::adaptive_overflow_threshold /
-// adaptive_calm_hysteresis and ride the usual Options plumbing.
-// (Namespace-scope rather than nested: it appears as a default argument
-// of SpecBuffer::init, where a nested type's member initializers would
-// not be parsed yet.)
-struct SpecAdaptivePolicy {
-  // Cumulative overflow events on this slot (summed across speculations
-  // since the slot last ran on the static hash afresh) at which the slot
-  // flips to kGrowableLog at its next rearm().
-  uint64_t overflow_threshold = 4;
-  // Consecutive calm speculations — no resizes and a footprint that
-  // would sit at no more than half load in the static table — after
-  // which a flipped slot returns to kStaticHash. The hysteresis is what
-  // keeps one pathological speculation from permanently pinning the slot
-  // to the growable backend, without flapping on every quiet epoch.
-  uint64_t calm_hysteresis = 16;
-};
-
-// Shared view of one ThreadManager's adaptive fleet: how many of the
-// sibling virtual-CPU slots are currently running on kGrowableLog. Slots
-// update `flipped` from their own rearm() (relaxed — it is a hint, and
-// rearms of different slots already race benignly), and a slot still on
-// the static hash consults it to flip *proactively* once at least half
-// the fleet has flipped: in a uniform-footprint loop every slot hits the
-// same capacity wall, so the stragglers skip their own overflow-doom
-// learning curve. Owned by ThreadManager; standalone buffers pass none.
-struct SpecFleetView {
-  std::atomic<uint32_t> flipped{0};
-  uint32_t slots = 0;
-};
-
 class SpecBuffer {
   // The whole API funnels through these two: one predictable branch on the
-  // active-backend enum, then a fully inlined backend body. Defined before
-  // first use — their deduced return types must be visible to the inline
-  // methods below.
+  // backend enum, then a fully inlined backend body. Defined before first
+  // use — their deduced return types must be visible to the inline methods
+  // below.
   template <typename Fn>
   decltype(auto) dispatch(Fn&& fn) {
-    switch (active_) {
+    switch (backend_) {
       case BufferBackend::kGrowableLog: return fn(growable_log_);
-      case BufferBackend::kNumaSharded: return fn(numa_sharded_);
       default: return fn(static_hash_);
     }
   }
   template <typename Fn>
   decltype(auto) dispatch(Fn&& fn) const {
-    switch (active_) {
+    switch (backend_) {
       case BufferBackend::kGrowableLog: return fn(growable_log_);
-      case BufferBackend::kNumaSharded: return fn(numa_sharded_);
       default: return fn(static_hash_);
     }
+  }
+
+  // This buffer's store that pairs with `b`, another buffer's store of the
+  // same type (the join-time pairings; both check the backends agree).
+  GlobalBuffer& same_store(const GlobalBuffer&) { return static_hash_; }
+  GrowableLogBuffer& same_store(const GrowableLogBuffer&) {
+    return growable_log_;
   }
 
  public:
@@ -154,9 +114,7 @@ class SpecBuffer {
   // 0.95, 4096 lines 0.35-0.38x at 0.95.
   static constexpr size_t kMruLines = 1024;
 
-  using AdaptivePolicy = SpecAdaptivePolicy;
   using PredictPolicy = SpecPredictPolicy;
-  using NumaPolicy = SpecNumaPolicy;
 
   // The doom reason a value-prediction mispredict is contained with —
   // distinct from capacity and conflict reasons so rollback attribution
@@ -174,31 +132,17 @@ class SpecBuffer {
   // Configures the selected backend. `log2_entries` sizes the table (the
   // static size for kStaticHash, the initial size for kGrowableLog);
   // `overflow_cap` bounds kStaticHash's temporary buffer and is ignored by
-  // kGrowableLog. kAdaptive starts on the static hash and initializes the
-  // growable log lazily at the first flip. `growable_max_log2` bounds the
-  // growable index (a memory bound; also the seam the hard-cap doom tests
-  // use). `arena`, when given (the owning virtual-CPU slot's arena), backs
-  // the growable arrays through its persistent pool; without one those
-  // fall back to the heap (standalone buffers in tests). `predict` enables
-  // the per-slot value predictor (table storage also from the arena pool);
-  // `fleet`, when given (by ThreadManager), lets kAdaptive slots coordinate
-  // proactive flips. `numa` configures kNumaSharded's address-range routing
-  // (shard count, region granularity, home shard) and is ignored by the
-  // other backends.
+  // kGrowableLog. `growable_max_log2` bounds the growable index (a memory
+  // bound; also the seam the hard-cap doom tests use). `arena`, when given
+  // (the owning virtual-CPU slot's arena), backs the growable arrays
+  // through its persistent pool; without one those fall back to the heap
+  // (standalone buffers in tests). `predict` enables the per-slot value
+  // predictor (table storage also from the arena pool).
   void init(BufferBackend backend, int log2_entries, size_t overflow_cap,
-            AdaptivePolicy policy = {},
             int growable_max_log2 = GrowableSet::kMaxLog2,
-            Arena* arena = nullptr, PredictPolicy predict = {},
-            SpecFleetView* fleet = nullptr, NumaPolicy numa = {}) {
-    configured_ = backend;
-    policy_ = policy;
+            Arena* arena = nullptr, PredictPolicy predict = {}) {
+    backend_ = backend;
     predict_ = predict;
-    numa_ = numa;
-    fleet_ = fleet;
-    log2_ = log2_entries;
-    overflow_cap_ = overflow_cap;
-    growable_max_log2_ = growable_max_log2;
-    arena_ = arena;
     predicted_.attach(arena);
     predictor_.init(predict, arena);
     if (predict.enabled) {
@@ -211,36 +155,16 @@ class SpecBuffer {
       // alloc_events == 0 budget.
       predicted_.reserve(size_t{1} << predict.table_log2);
     }
-    overflow_score_ = 0;
-    calm_epochs_ = 0;
-    calm_reverted_ = false;
-    footprint_hwm_ = 0;
-    growable_ready_ = false;
-    if (backend == BufferBackend::kAdaptive) {
-      MUTLS_CHECK(policy_.overflow_threshold >= 1,
-                  "adaptive overflow threshold must be at least 1");
-      active_ = BufferBackend::kStaticHash;
+    if (backend_ == BufferBackend::kGrowableLog) {
+      growable_log_.init(log2_entries, overflow_cap, &stats_,
+                         growable_max_log2, arena);
     } else {
-      active_ = backend;
-    }
-    if (active_ == BufferBackend::kGrowableLog) {
-      growable_log_.init(log2_, overflow_cap_, &stats_, growable_max_log2_,
-                         arena_);
-      growable_ready_ = true;
-    } else if (active_ == BufferBackend::kNumaSharded) {
-      numa_sharded_.init(log2_, overflow_cap_, &stats_, growable_max_log2_,
-                         arena_, numa_);
-    } else {
-      static_hash_.init(log2_, overflow_cap_, &stats_);
+      static_hash_.init(log2_entries, overflow_cap, &stats_);
     }
     mru_invalidate();
   }
 
-  // The configured backend (what the embedding asked for)...
-  BufferBackend backend() const { return configured_; }
-  // ...and the backend actually serving this slot right now (differs from
-  // backend() only for kAdaptive).
-  BufferBackend active_backend() const { return active_; }
+  BufferBackend backend() const { return backend_; }
 
   // --- speculative access path (runs on the owning speculative thread) ---
 
@@ -381,8 +305,8 @@ class SpecBuffer {
   // Validates the read-set against main memory (non-speculative joiner).
   // The comparison accumulates a XOR difference — no branch per word — over
   // the set walked in place. Every backend walks its sets in insertion
-  // order (kNumaSharded one shard at a time), never in hash order, so main
-  // memory is touched in the order the speculation first touched it.
+  // order, never in hash order, so main memory is touched in the order the
+  // speculation first touched it.
   bool validate_against_memory() {
     return dispatch([&](auto& b) {
       uint64_t diff = 0;
@@ -406,27 +330,26 @@ class SpecBuffer {
   // Peeks never touch the joiner's word-view cache: they run on the
   // joiner's buffer from *this* thread at the flag barrier.
   bool validate_against(SpecBuffer& joiner) {
+    check_same_backend(joiner);
     return dispatch([&](auto& b) {
-      return joiner.dispatch([&](auto& j) {
-        uint64_t diff = 0;
-        uint64_t words = 0;
-        b.for_each_read([&](uintptr_t word_addr, uint64_t data) {
-          ++words;
-          diff |= word_peek(j, word_addr) ^ data;
-        });
-        stats_.validated_words += words;
-        bool valid = diff == 0;
-        if (predict_.enabled) {
-          // The "settled value" against a speculative joiner is the
-          // joiner's buffered view. Training on it is slightly optimistic
-          // (the joiner may itself roll back later), but the predictor is
-          // a hint table — a wrong lesson costs one mispredict, never
-          // correctness.
-          valid = settle_predicted(
-              b, valid, [&](uintptr_t a) { return word_peek(j, a); });
-        }
-        return valid;
+      auto& j = joiner.same_store(b);
+      uint64_t diff = 0;
+      uint64_t words = 0;
+      b.for_each_read([&](uintptr_t word_addr, uint64_t data) {
+        ++words;
+        diff |= word_peek(j, word_addr) ^ data;
       });
+      stats_.validated_words += words;
+      bool valid = diff == 0;
+      if (predict_.enabled) {
+        // The "settled value" against a speculative joiner is the joiner's
+        // buffered view. Training on it is slightly optimistic (the joiner
+        // may itself roll back later), but the predictor is a hint table —
+        // a wrong lesson costs one mispredict, never correctness.
+        valid = settle_predicted(
+            b, valid, [&](uintptr_t a) { return word_peek(j, a); });
+      }
+      return valid;
     });
   }
 
@@ -434,12 +357,6 @@ class SpecBuffer {
   // (insertion order, like validation).
   void commit_to_memory() {
     dispatch([&](auto& b) {
-      // Locality accounting only the sharded backend can provide: the
-      // words of this commit that stream from the slot's home shard.
-      // Detected structurally so the other backends pay nothing.
-      if constexpr (requires { b.local_write_words(); }) {
-        stats_.local_commit_words += b.local_write_words();
-      }
       b.for_each_write([](uintptr_t word_addr, uint64_t data, uint64_t mark) {
         if (mark == kFullMark) {
           atomic_word_store(word_addr, data);
@@ -467,26 +384,25 @@ class SpecBuffer {
   // Capacity exhaustion in the joiner dooms it through the backend's
   // merge-specific reason (insert_*'s `merging` flag).
   void merge_into(SpecBuffer& joiner) {
+    check_same_backend(joiner);
     // Adoption mutates the joiner's sets behind its cached lines (a word a
     // line proved write-absent may gain a write): drop them all.
     joiner.mru_invalidate();
     dispatch([&](auto& b) {
-      joiner.dispatch([&](auto& j) {
-        b.for_each_write(
-            [&](uintptr_t word_addr, uint64_t data, uint64_t mark) {
-              WordRef w = j.insert_write(word_addr, /*merging=*/true);
-              if (!w.data) return;  // joiner doomed; keep draining
-              *w.data = overlay_bytes(*w.data, data, mark);
-              *w.mark |= mark;
-            });
-        b.for_each_read([&](uintptr_t word_addr, uint64_t data) {
-          WordRef w = j.find_write(word_addr);
-          if (w.data && *w.mark == kFullMark) return;  // covered: no dep
-          bool inserted = false;
-          WordRef r = j.insert_read(word_addr, inserted, /*merging=*/true);
-          if (!r.data) return;  // joiner doomed; keep draining
-          if (inserted) *r.data = data;  // first value wins
-        });
+      auto& j = joiner.same_store(b);
+      b.for_each_write([&](uintptr_t word_addr, uint64_t data, uint64_t mark) {
+        WordRef w = j.insert_write(word_addr, /*merging=*/true);
+        if (!w.data) return;  // joiner doomed; keep draining
+        *w.data = overlay_bytes(*w.data, data, mark);
+        *w.mark |= mark;
+      });
+      b.for_each_read([&](uintptr_t word_addr, uint64_t data) {
+        WordRef w = j.find_write(word_addr);
+        if (w.data && *w.mark == kFullMark) return;  // covered: no dep
+        bool inserted = false;
+        WordRef r = j.insert_read(word_addr, inserted, /*merging=*/true);
+        if (!r.data) return;  // joiner doomed; keep draining
+        if (inserted) *r.data = data;  // first value wins
       });
     });
   }
@@ -497,38 +413,16 @@ class SpecBuffer {
   // and rearm(); the cost counters intentionally survive (the settle paths
   // read them after resetting).
   void reset() {
-    // Track the footprint high-water mark for the adaptive calm check
-    // before the entry counts vanish.
-    footprint_hwm_ = std::max(footprint_hwm_,
-                              std::max(read_entries(), write_entries()));
     mru_invalidate();
     predicted_.clear();
     dispatch([](auto& b) { b.reset(); });
   }
 
   // Re-arms this buffer for the next speculation on its virtual-CPU slot:
-  // applies the adaptive flip decision (based on the finished
-  // speculation's counters), resets buffered state and zeroes the per-
-  // speculation counters. A flip is recorded in the *new* speculation's
-  // backend_flips counter — "this speculation started on a freshly flipped
-  // backend" — while the flipped state itself persists per slot.
+  // resets buffered state and zeroes the per-speculation counters.
   void rearm() {
-    // Capture the retiring speculation's footprint before deciding: in
-    // the standalone flow (no settle-time reset() preceding this call)
-    // the sets are still populated here, and the calm check below would
-    // otherwise compare against an empty high-water mark — flipping a
-    // busy slot back and flapping.
-    footprint_hwm_ = std::max(footprint_hwm_,
-                              std::max(read_entries(), write_entries()));
-    BufferBackend next = active_;
-    if (configured_ == BufferBackend::kAdaptive) next = adapt_next();
-    // The observed footprint seeds a flip target's capacity so the next
-    // speculation does not rediscover it through the doubling ladder.
-    const size_t flip_hint = footprint_hwm_;
     reset();
-    footprint_hwm_ = 0;
     clear_stats();
-    if (next != active_) activate(next, flip_hint);
   }
 
   bool doomed() const {
@@ -554,19 +448,24 @@ class SpecBuffer {
     return dispatch([](const auto& b) { return b.write_entries(); });
   }
 
-  // Cost-counter snapshot. One block per buffer, shared by whichever
-  // backend is active (so an adaptive flip never strands counters).
+  // Cost-counter snapshot. One block per buffer, shared with its backend.
   // Survives reset(); zeroed by clear_stats()/rearm() when a virtual-CPU
   // slot is re-armed for a new speculation.
   const SpecBufferStats& stats() const { return stats_; }
   void clear_stats() { stats_.clear(); }
 
-  // The slot's value predictor (tests, diagnostics). Like the adaptive
-  // flip state it persists across rearm(): the slot learns across
-  // speculations.
+  // The slot's value predictor (tests, diagnostics). It persists across
+  // rearm(): the slot learns across speculations.
   const ValuePredictor& predictor() const { return predictor_; }
 
  private:
+  // Join-time pairings walk two buffers' stores of one type; a buffer of
+  // another backend has no such store to pair with.
+  void check_same_backend(const SpecBuffer& joiner) const {
+    MUTLS_CHECK(joiner.backend_ == backend_,
+                "joined buffers run different buffer backends");
+  }
+
   // --- the word-view cache + view composition ---
   //
   // kMruLines direct-mapped lines, each caching the thread's composed view
@@ -587,8 +486,7 @@ class SpecBuffer {
   // every store reaches the line a later load of the same word consults;
   // two words that alias a line simply evict each other. The sets change
   // behind a line only in merge_into and reset, and both invalidate every
-  // line; adaptive flips happen strictly after a reset, so a handle can
-  // never cross backends.
+  // line.
   //
   // Invalidation is O(1): the line's index bits and the three alignment
   // bits of a word address are implied by the line it sits in, so the tag
@@ -795,117 +693,17 @@ class SpecBuffer {
     }
   }
 
-  // --- adaptive backend selection (kAdaptive) ---
-
-  // The flip decision, evaluated in rearm() against the finished
-  // speculation's counters (they survive reset() until clear_stats()).
-  BufferBackend adapt_next() {
-    if (active_ == BufferBackend::kStaticHash) {
-      overflow_score_ += stats_.overflow_events;
-      if (overflow_score_ >= policy_.overflow_threshold) {
-        // Flipping on own evidence clears the calm-revert latch: the slot
-        // is eligible for fleet-following again once it re-earns a flip.
-        calm_reverted_ = false;
-        return BufferBackend::kGrowableLog;
-      }
-      // Fleet-wide proactive flip: once at least half the sibling slots
-      // run on the growable log, a uniform-footprint loop has effectively
-      // proven the capacity wall for everyone — flip now instead of
-      // paying this slot's own overflow-doom learning curve. The
-      // calm_reverted_ latch keeps a slot that *earned* its way back to
-      // the static hash (calm hysteresis) from being dragged straight
-      // back up by a still-flipped majority — without it the fleet would
-      // flap one slot per epoch forever.
-      if (fleet_ != nullptr && fleet_->slots >= 2 && !calm_reverted_ &&
-          2 * fleet_->flipped.load(std::memory_order_relaxed) >=
-              fleet_->slots) {
-        return BufferBackend::kGrowableLog;
-      }
-    } else {
-      // Calm = the speculation neither resized nor ran a footprint the
-      // static table couldn't hold at low load (half capacity is the
-      // comfort proxy: near-full static tables collision-doom). Without
-      // the footprint check a flipped slot whose big footprints fit the
-      // *grown* index without resizing would flip back, overflow-doom, and
-      // flip up again — exactly the flapping the hysteresis exists to
-      // prevent.
-      bool calm = stats_.resize_events == 0 &&
-                  footprint_hwm_ * 2 <= (size_t{1} << log2_);
-      if (!calm) {
-        calm_epochs_ = 0;
-      } else if (++calm_epochs_ >= policy_.calm_hysteresis) {
-        overflow_score_ = 0;
-        calm_epochs_ = 0;
-        calm_reverted_ = true;
-        return BufferBackend::kStaticHash;
-      }
-    }
-    return active_;
-  }
-
-  void activate(BufferBackend target, size_t footprint_hint = 0) {
-    if (fleet_ != nullptr) {
-      // Keep the fleet's flipped count in step with this slot's active
-      // backend (relaxed: a momentarily stale count only shifts *when* a
-      // sibling follows, never correctness).
-      if (target == BufferBackend::kGrowableLog &&
-          active_ != BufferBackend::kGrowableLog) {
-        fleet_->flipped.fetch_add(1, std::memory_order_relaxed);
-      } else if (target != BufferBackend::kGrowableLog &&
-                 active_ == BufferBackend::kGrowableLog) {
-        fleet_->flipped.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (target == BufferBackend::kGrowableLog && !growable_ready_) {
-      growable_log_.init(log2_, overflow_cap_, &stats_, growable_max_log2_,
-                         arena_);
-      growable_ready_ = true;
-    }
-    active_ = target;
-    // The target starts clean (it was reset when deactivated, but a flip
-    // must never trust that); grown growable capacity is carried forward —
-    // clear() keeps the index.
-    dispatch([](auto& b) { b.reset(); });
-    if (target == BufferBackend::kGrowableLog && footprint_hint != 0) {
-      // Seed the flipped slot at the footprint the static hash observed
-      // (entries at the doom point — a lower bound on the true footprint,
-      // but it skips the bulk of the doubling ladder right after a flip).
-      growable_log_.reserve(footprint_hint);
-    }
-    ++stats_.backend_flips;
-  }
-
-  BufferBackend configured_ = BufferBackend::kStaticHash;
-  BufferBackend active_ = BufferBackend::kStaticHash;
+  BufferBackend backend_ = BufferBackend::kStaticHash;
   GlobalBuffer static_hash_;
   GrowableLogBuffer growable_log_;
-  NumaShardedBuffer numa_sharded_;
   SpecBufferStats stats_;
-  NumaPolicy numa_;
 
   MruLine mru_[kMruLines] = {};
   uintptr_t mru_gen_ = 1;  // in [1, kMruGenMask]; see mru_tag
 
-  // Adaptive state (kAdaptive only). Persists across rearm() — that is the
-  // point: the *slot* learns, while the counters stay per-speculation.
-  AdaptivePolicy policy_;
-  int log2_ = 0;
-  size_t overflow_cap_ = 0;
-  int growable_max_log2_ = GrowableSet::kMaxLog2;
-  uint64_t overflow_score_ = 0;
-  uint64_t calm_epochs_ = 0;
-  size_t footprint_hwm_ = 0;
-  bool growable_ready_ = false;
-  // Set when the calm hysteresis reverted this slot to the static hash;
-  // cleared when the slot flips on its own overflow evidence. Gates the
-  // fleet-following flip (see adapt_next).
-  bool calm_reverted_ = false;
-  SpecFleetView* fleet_ = nullptr;
-  Arena* arena_ = nullptr;
-
-  // Value prediction (PredictPolicy.enabled only). The predictor — like
-  // the adaptive state above — persists across rearm(); the per-
-  // speculation side table of bets is cleared with the sets on reset().
+  // Value prediction (PredictPolicy.enabled only). The predictor persists
+  // across rearm(); the per-speculation side table of bets is cleared
+  // with the sets on reset().
   PredictPolicy predict_;
   ValuePredictor predictor_;
   struct PredictedRead {

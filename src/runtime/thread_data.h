@@ -102,8 +102,7 @@ struct ThreadData {
     // Re-arm the speculative buffer: reset buffered state, zero the cost
     // counters (they survive reset() so the settle paths could read them;
     // a slot's next speculation must not re-report its predecessors'
-    // events), and — for the adaptive backend — apply the per-slot flip
-    // decision based on the finished speculation's counters.
+    // events).
     sbuf.rearm();
     lbuf.reset();
     stats.clear();

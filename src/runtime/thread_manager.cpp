@@ -106,9 +106,9 @@ int resolve_handoff_spin_budget(int configured) {
 ThreadManager::ThreadManager(const ManagerConfig& config) : config_(config) {
   MUTLS_CHECK(config_.num_cpus >= 1, "need at least one virtual CPU");
   // Resolve the machine shape first: the freelists, the child-placement
-  // policy, the sharded backend's shard count and the per-node spin
-  // budgets all derive from it. More nodes than virtual CPUs would strand
-  // ranks on empty home lists, so the node count is clamped.
+  // policy and the per-node spin budgets all derive from it. More nodes
+  // than virtual CPUs would strand ranks on empty home lists, so the node
+  // count is clamped.
   topo_ = config_.numa_nodes > 0 ? Topology::fake(config_.numa_nodes)
                                  : Topology::probe();
   num_nodes_ = topo_.nodes();
@@ -130,28 +130,18 @@ ThreadManager::ThreadManager(const ManagerConfig& config) : config_(config) {
   // join time — allocation-free.
   root_.children.reserve(static_cast<size_t>(config_.num_cpus));
   cpus_.reserve(static_cast<size_t>(config_.num_cpus));
-  fleet_.slots = static_cast<uint32_t>(config_.num_cpus);
   for (int r = 1; r <= config_.num_cpus; ++r) {
     cpus_.push_back(std::make_unique<Cpu>());
     Cpu& c = *cpus_.back();
     c.data.rank = r;
     c.data.sbuf.init(config_.buffer_backend, config_.buffer_log2,
-                     config_.overflow_cap,
-                     SpecBuffer::AdaptivePolicy{
-                         config_.adaptive_overflow_threshold,
-                         config_.adaptive_calm_hysteresis},
-                     GrowableSet::kMaxLog2, &c.data.arena,
+                     config_.overflow_cap, GrowableSet::kMaxLog2,
+                     &c.data.arena,
                      SpecBuffer::PredictPolicy{
                          config_.predict_enabled,
                          config_.predict_confidence_threshold,
                          config_.predict_stride_window,
-                         config_.predict_table_log2},
-                     &fleet_,
-                     // One shard per node, the slot's own node as the
-                     // home shard (kNumaSharded only; ignored otherwise).
-                     SpecBuffer::NumaPolicy{num_nodes_,
-                                            config_.numa_shard_region_log2,
-                                            node_of_rank(r)});
+                         config_.predict_table_log2});
     c.data.lbuf.init(config_.register_slots);
     c.data.children.reserve(static_cast<size_t>(config_.num_cpus));
   }

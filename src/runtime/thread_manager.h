@@ -40,17 +40,9 @@ struct ManagerConfig {
   size_t overflow_cap = 4096;
 
   // Speculative-buffer backend for every virtual CPU (see BufferBackend in
-  // "runtime/enums.h"): the paper's static hash with overflow-doom, the
-  // growable log that resizes under capacity pressure, or the adaptive
-  // per-slot selection between the two.
+  // "runtime/enums.h"): the paper's static hash with overflow-doom, or the
+  // growable log that resizes under capacity pressure.
   BufferBackend buffer_backend = BufferBackend::kStaticHash;
-
-  // kAdaptive knobs (ignored by the other backends); see
-  // SpecBuffer::AdaptivePolicy. A slot flips to the growable log once its
-  // cumulative overflow events reach the threshold, and flips back after
-  // this many consecutive calm speculations.
-  uint64_t adaptive_overflow_threshold = 4;
-  uint64_t adaptive_calm_hysteresis = 16;
 
   // Value-prediction knobs (any backend; see SpecBuffer::PredictPolicy
   // in "runtime/value_predictor.h"). Off by default: speculative reads
@@ -100,13 +92,8 @@ struct ManagerConfig {
   // NUMA node count override. 0 (the default) probes the machine topology
   // (sysfs; portable single-node fallback — see support/topology.h); a
   // positive value fakes that many nodes, which is how tests exercise the
-  // per-node freelists and the sharded backend on a single-node box.
+  // per-node freelists on a single-node box.
   int numa_nodes = 0;
-
-  // kNumaSharded only: log2 of the contiguous byte range one shard covers
-  // before the address-range mapping advances to the next node's shard
-  // (see SpecNumaPolicy::region_log2).
-  int numa_shard_region_log2 = 12;
 };
 
 // The one mapping from an embedding's options struct (Runtime::Options,
@@ -120,8 +107,6 @@ ManagerConfig manager_config_from(const Opts& opt, int register_slots) {
   c.buffer_log2 = opt.buffer_log2;
   c.overflow_cap = opt.overflow_cap;
   c.buffer_backend = opt.buffer_backend;
-  c.adaptive_overflow_threshold = opt.adaptive_overflow_threshold;
-  c.adaptive_calm_hysteresis = opt.adaptive_calm_hysteresis;
   c.predict_enabled = opt.predict_enabled;
   c.predict_confidence_threshold = opt.predict_confidence_threshold;
   c.predict_stride_window = opt.predict_stride_window;
@@ -132,7 +117,6 @@ ManagerConfig manager_config_from(const Opts& opt, int register_slots) {
   c.model_override = opt.model_override;
   c.handoff_spin_budget = opt.handoff_spin_budget;
   c.numa_nodes = opt.numa_nodes;
-  c.numa_shard_region_log2 = opt.numa_shard_region_log2;
   return c;
 }
 
@@ -372,9 +356,6 @@ class ThreadManager {
   // Per-node handoff spin budgets, resolved at construction (explicit
   // config value, or one calibration probe per node).
   int node_budget_[Topology::kMaxNodes] = {};
-  // Shared fleet view for the adaptive slots' proactive flip (each slot's
-  // SpecBuffer holds a pointer; see SpecFleetView in spec_buffer.h).
-  SpecFleetView fleet_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
   ThreadData root_;
 

@@ -29,8 +29,8 @@
 // decrements the incumbent's confidence and only replaces it at zero, so a
 // hot entry is not thrashed by one-off conflict addresses. Storage comes
 // from the owning slot's arena pool (heap only for standalone test
-// instances), is sized once at init, and — like the adaptive flip state —
-// deliberately survives SpecBuffer::rearm(): the *slot* learns across
+// instances), is sized once at init, and deliberately survives
+// SpecBuffer::rearm(): the *slot* learns across
 // speculations while the stats stay per-speculation.
 #pragma once
 
@@ -43,8 +43,8 @@ namespace mutls {
 // The value-prediction knobs. Surfaced as the predict_* fields of
 // ManagerConfig / Runtime::Options / interp Options and handed to
 // SpecBuffer::init as SpecBuffer::PredictPolicy. (Namespace-scope rather
-// than nested, same reason as SpecAdaptivePolicy: it appears as a default
-// argument of SpecBuffer::init.)
+// than nested: it appears as a default argument of SpecBuffer::init, where
+// a nested type's member initializers would not be parsed yet.)
 struct SpecPredictPolicy {
   // Master switch. Disabled, the predictor allocates nothing and the
   // access/validation hot paths pay one predicted-not-taken branch.

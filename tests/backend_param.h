@@ -13,8 +13,6 @@ inline std::string backend_camel_name(BufferBackend b) {
   switch (b) {
     case BufferBackend::kStaticHash: return "StaticHash";
     case BufferBackend::kGrowableLog: return "GrowableLog";
-    case BufferBackend::kAdaptive: return "Adaptive";
-    case BufferBackend::kNumaSharded: return "NumaSharded";
   }
   return "Unknown";
 }

@@ -107,8 +107,7 @@ SteadyState run_steady(BufferBackend backend, size_t touch) {
   Runtime rt({.num_cpus = 2,
               .buffer_log2 = 8,
               .overflow_cap = 64,
-              .buffer_backend = backend,
-              .adaptive_overflow_threshold = 2});
+              .buffer_backend = backend});
   std::vector<uint64_t> data(touch + 1, 0);
   rt.register_memory(data.data(), data.size() * sizeof(uint64_t));
 
@@ -124,9 +123,8 @@ SteadyState run_steady(BufferBackend backend, size_t touch) {
   };
 
   // Warm-up: first speculations pay for arena segments, pool classes along
-  // the growable doubling ladder, retired local frames — and, for the
-  // adaptive backend, the flip to the growable log after repeated overflow
-  // dooms. Everything after that must recycle.
+  // the growable doubling ladder, retired local frames. Everything after
+  // that must recycle.
   for (int i = 0; i < kWarmup; ++i) (void)one_run();
 
   SteadyState out;
@@ -157,15 +155,6 @@ TEST(AllocBudget, GrowableLogSteadyStateIsAllocationFree) {
   EXPECT_GT(s.commits, 0u);
 }
 
-TEST(AllocBudget, AdaptiveSteadyStateIsAllocationFree) {
-  // 2048 distinct words doom the 2^8-slot static hash, so warmed slots have
-  // flipped to the growable log by the measured window.
-  SteadyState s = run_steady(BufferBackend::kAdaptive, 2048);
-  EXPECT_EQ(s.heap_news, 0u);
-  EXPECT_EQ(s.alloc_events, 0u);
-  EXPECT_GT(s.commits, 0u);
-}
-
 // Join-time validation and commit walk the sets in place, so they need no
 // storage of their own, however large the sets. Warm-up speculations
 // build read and write sets of 12 000 words — sizing every set structure —
@@ -177,8 +166,7 @@ TEST(AllocBudget, FirstLargeCommitAfterWarmupIsAllocationFree) {
   constexpr size_t kWords = 12000;
   alignas(8) static uint64_t unregistered = 0;
   for (BufferBackend backend :
-       {BufferBackend::kStaticHash, BufferBackend::kGrowableLog,
-        BufferBackend::kAdaptive, BufferBackend::kNumaSharded}) {
+       {BufferBackend::kStaticHash, BufferBackend::kGrowableLog}) {
     SCOPED_TRACE(static_cast<int>(backend));
     // A static table large enough that contiguous words never collide.
     Runtime rt({.num_cpus = 2,

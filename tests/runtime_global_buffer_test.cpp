@@ -1,8 +1,8 @@
 // Unit tests for speculative memory buffering, validation, commit and the
 // tree-form merge (paper IV-G2 and IV-F), run against the SpecBuffer API
-// and value-parameterized over every backend: the buffered-view semantics
+// and value-parameterized over both backends: the buffered-view semantics
 // are a backend-independent contract. Backend-specific capacity behavior
-// (overflow doom vs resize) and cross-backend merges are covered at the
+// (overflow doom vs resize) and the join-time pairings are covered at the
 // bottom.
 #include "runtime/spec_buffer.h"
 
@@ -266,9 +266,7 @@ TEST_P(SpecBufferTest, SubWordMergeCombinesMarks) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, SpecBufferTest,
                          ::testing::Values(BufferBackend::kStaticHash,
-                                           BufferBackend::kGrowableLog,
-                                           BufferBackend::kAdaptive,
-                                           BufferBackend::kNumaSharded),
+                                           BufferBackend::kGrowableLog),
                          backend_test_name);
 
 // --- backend-specific capacity behavior ---
@@ -341,42 +339,49 @@ TEST(SpecBufferGrowableLog, ResizesInsteadOfDooming) {
   }
 }
 
-TEST(SpecBufferNumaSharded, ShardExhaustionDoomsLikeStaticOverflow) {
+// At its maximum index the growable log dooms instead of aborting, with a
+// reason naming the exhausted set, and a first-touch load past the cap
+// falls back to memory and leaves its line untagged, like the static
+// hash's overflow doom.
+TEST(SpecBufferGrowableLog, HardCapDoomsInsteadOfAborting) {
   SpecBuffer tiny;
-  // Two shards alternating every 8-byte word (region_log2 = 3), each
-  // capped at a 2^5 index: a footprint far past both caps must doom, the
-  // same contract the static hash honors at overflow exhaustion.
-  tiny.init(BufferBackend::kNumaSharded, 5, 0, {}, /*growable_max_log2=*/5,
-            nullptr, {}, nullptr,
-            SpecBuffer::NumaPolicy{/*shards=*/2, /*region_log2=*/3,
-                                   /*home_shard=*/0});
-  alignas(8) static uint64_t arena[256];
-  for (int i = 0; i < 256 && !tiny.doomed(); ++i) {
-    uint64_t v = 1;
-    tiny.store_bytes(reinterpret_cast<uintptr_t>(&arena[i]), &v, 8);
-  }
-  EXPECT_TRUE(tiny.doomed()) << "a shard at its maximum index must doom";
-  EXPECT_TRUE(tiny.pressure());
-  EXPECT_GT(tiny.stats().overflow_events, 0u);
-}
+  tiny.init(BufferBackend::kGrowableLog, 4, 0, /*growable_max_log2=*/4);
+  alignas(8) static uint64_t arena[32];
+  auto addr = [](int i) { return reinterpret_cast<uintptr_t>(&arena[i]); };
 
-TEST(SpecBufferNumaSharded, ContiguousFootprintStaysHomeLocal) {
-  SpecBuffer buf;
-  // Default 4 KiB regions: a small contiguous footprint lands entirely in
-  // the forker's home shard, so every committed word counts as node-local.
-  alignas(4096) static uint64_t arena[64];
-  int home = static_cast<int>(
-      (reinterpret_cast<uintptr_t>(&arena[0]) >> 12) & 1u);
-  buf.init(BufferBackend::kNumaSharded, 8, 64, {}, GrowableSet::kMaxLog2,
-           nullptr, {}, nullptr,
-           SpecBuffer::NumaPolicy{/*shards=*/2, /*region_log2=*/12, home});
-  for (int i = 0; i < 64; ++i) {
-    uint64_t v = static_cast<uint64_t>(i);
-    buf.store_bytes(reinterpret_cast<uintptr_t>(&arena[i]), &v, 8);
-  }
-  buf.commit_to_memory();
-  EXPECT_EQ(buf.stats().local_commit_words, 64u);
-  EXPECT_GT(buf.stats().shard_probe_steps, 0u);
+  // A 16-slot index holds 15 entries: probing needs one empty slot.
+  for (int i = 0; i < 15; ++i) tiny.store_aligned(addr(i), 1, 8);
+  ASSERT_FALSE(tiny.doomed());
+  tiny.store_aligned(addr(15), 1, 8);
+  ASSERT_TRUE(tiny.doomed());
+  EXPECT_STREQ(tiny.doom_reason(),
+               "write-set exhausted the maximum growable index");
+  EXPECT_GE(tiny.stats().overflow_events, 1u);
+  EXPECT_EQ(tiny.stats().resize_events, 0u);
+
+  tiny.rearm();
+  EXPECT_FALSE(tiny.doomed());
+  EXPECT_EQ(tiny.read_entries() + tiny.write_entries(), 0u);
+  EXPECT_EQ(tiny.stats().overflow_events, 0u);
+  EXPECT_EQ(tiny.stats().mru_misses, 0u);
+
+  arena[31] = 31;
+  for (int i = 16; i < 31; ++i) (void)tiny.load_aligned(addr(i), 8);
+  ASSERT_FALSE(tiny.doomed());
+  EXPECT_EQ(tiny.load_aligned(addr(31), 8), 31u) << "memory fallback";
+  ASSERT_TRUE(tiny.doomed());
+  EXPECT_STREQ(tiny.doom_reason(),
+               "read-set exhausted the maximum growable index");
+  EXPECT_GE(tiny.stats().overflow_events, 1u);
+  const uint64_t misses = tiny.stats().mru_misses;
+  EXPECT_EQ(tiny.load_aligned(addr(31), 8), 31u);
+  EXPECT_EQ(tiny.stats().mru_misses, misses + 1);
+  EXPECT_EQ(tiny.stats().mru_hits, 0u) << "a doomed miss cached its view";
+
+  tiny.rearm();
+  EXPECT_FALSE(tiny.doomed());
+  EXPECT_EQ(tiny.stats().overflow_events, 0u);
+  EXPECT_EQ(tiny.stats().mru_misses, 0u);
 }
 
 TEST(SpecBufferGrowableLog, PressureClearsOnReset) {
@@ -400,28 +405,21 @@ TEST(SpecBufferGrowableLog, PressureClearsOnReset) {
   EXPECT_EQ(buf.stats().resize_events, resizes);
 }
 
-// --- cross-backend join-time pairings ---
+// --- join-time pairings ---
 //
 // A ThreadManager configures all its buffers with the same BufferBackend,
-// but the SpecBuffer join-time operations are generic over the (child,
-// joiner) backend pair — and under kAdaptive, sibling slots genuinely run
-// mixed backends (a flipped parent joining an unflipped child and vice
-// versa). Pin every pairing down so backends stay interchangeable at the
-// contract level, including the merge-time read-adoption policy that now
+// so a child always joins a joiner of its own backend. Pin the pairing
+// down on both stores, including the merge-time read-adoption policy that
 // lives once in SpecBuffer::merge_into.
 
-struct BackendPair {
-  BufferBackend child;
-  BufferBackend joiner;
-};
+class SpecBufferSameBackendJoin
+    : public ::testing::TestWithParam<BufferBackend> {};
 
-class SpecBufferCrossBackend : public ::testing::TestWithParam<BackendPair> {};
-
-TEST_P(SpecBufferCrossBackend, MergeAndValidateCompose) {
+TEST_P(SpecBufferSameBackendJoin, MergeAndValidateCompose) {
   alignas(8) uint64_t x = 0, y = 7;
   SpecBuffer joiner, child;
-  joiner.init(GetParam().joiner, 8, 64);
-  child.init(GetParam().child, 8, 64);
+  joiner.init(GetParam(), 8, 64);
+  child.init(GetParam(), 8, 64);
 
   uint64_t out;
   child.load_bytes(reinterpret_cast<uintptr_t>(&y), &out, 8);  // read dep
@@ -443,13 +441,13 @@ TEST_P(SpecBufferCrossBackend, MergeAndValidateCompose) {
 
 // Read adoption is policy, not backend code: a child read fully covered by
 // one of the joiner's *full-mark* writes carries no main-memory dependency
-// and must be skipped; a partial-mark cover must NOT suppress it. Every
-// (child, joiner) pairing runs the same hoisted SpecBuffer::merge_into.
-TEST_P(SpecBufferCrossBackend, FullMarkWriteSuppressesReadAdoption) {
+// and must be skipped; a partial-mark cover must NOT suppress it. Both
+// stores run the same SpecBuffer::merge_into.
+TEST_P(SpecBufferSameBackendJoin, FullMarkWriteSuppressesReadAdoption) {
   alignas(8) uint64_t full = 7, partial = 7;
   SpecBuffer joiner, child;
-  joiner.init(GetParam().joiner, 8, 64);
-  child.init(GetParam().child, 8, 64);
+  joiner.init(GetParam(), 8, 64);
+  child.init(GetParam(), 8, 64);
 
   uint64_t v = 7;
   joiner.store_bytes(reinterpret_cast<uintptr_t>(&full), &v, 8);  // full mark
@@ -473,11 +471,11 @@ TEST_P(SpecBufferCrossBackend, FullMarkWriteSuppressesReadAdoption) {
       << "a partial-mark cover must not suppress read adoption";
 }
 
-TEST_P(SpecBufferCrossBackend, AdoptedReadKeepsJoinersFirstObservation) {
+TEST_P(SpecBufferSameBackendJoin, AdoptedReadKeepsJoinersFirstObservation) {
   alignas(8) uint64_t x = 10;
   SpecBuffer joiner, child;
-  joiner.init(GetParam().joiner, 8, 64);
-  child.init(GetParam().child, 8, 64);
+  joiner.init(GetParam(), 8, 64);
+  child.init(GetParam(), 8, 64);
 
   uint64_t out;
   joiner.load_bytes(reinterpret_cast<uintptr_t>(&x), &out, 8);  // observes 10
@@ -499,13 +497,13 @@ TEST_P(SpecBufferCrossBackend, AdoptedReadKeepsJoinersFirstObservation) {
 // a line that proved a word write-absent would keep serving the joiner's
 // own read-set observation. merge_into must therefore drop every line, not
 // only one — here two read-only words on different lines.
-TEST_P(SpecBufferCrossBackend, MergeInvalidatesEveryCachedLine) {
+TEST_P(SpecBufferSameBackendJoin, MergeInvalidatesEveryCachedLine) {
   std::vector<uint64_t> words(SpecBuffer::kMruLines / 2 + 1, 1);
   uint64_t& x = words.front();
   uint64_t& z = words.back();
   SpecBuffer joiner, child;
-  joiner.init(GetParam().joiner, 12, 64);
-  child.init(GetParam().child, 12, 64);
+  joiner.init(GetParam(), 12, 64);
+  child.init(GetParam(), 12, 64);
   auto addr = [](uint64_t& v) { return reinterpret_cast<uintptr_t>(&v); };
 
   // Load each word twice: the second load is a read-only line hit.
@@ -528,26 +526,19 @@ TEST_P(SpecBufferCrossBackend, MergeInvalidatesEveryCachedLine) {
       << "the first post-merge loads cannot be line hits";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Pairs, SpecBufferCrossBackend,
-    ::testing::Values(
-        BackendPair{BufferBackend::kStaticHash, BufferBackend::kStaticHash},
-        BackendPair{BufferBackend::kStaticHash, BufferBackend::kGrowableLog},
-        BackendPair{BufferBackend::kGrowableLog, BufferBackend::kStaticHash},
-        BackendPair{BufferBackend::kGrowableLog, BufferBackend::kGrowableLog},
-        BackendPair{BufferBackend::kAdaptive, BufferBackend::kGrowableLog},
-        BackendPair{BufferBackend::kGrowableLog, BufferBackend::kAdaptive},
-        BackendPair{BufferBackend::kStaticHash, BufferBackend::kAdaptive},
-        BackendPair{BufferBackend::kAdaptive, BufferBackend::kStaticHash},
-        BackendPair{BufferBackend::kNumaSharded, BufferBackend::kNumaSharded},
-        BackendPair{BufferBackend::kNumaSharded, BufferBackend::kStaticHash},
-        BackendPair{BufferBackend::kStaticHash, BufferBackend::kNumaSharded},
-        BackendPair{BufferBackend::kNumaSharded, BufferBackend::kGrowableLog},
-        BackendPair{BufferBackend::kGrowableLog, BufferBackend::kNumaSharded}),
-    [](const ::testing::TestParamInfo<BackendPair>& info) {
-      return backend_camel_name(info.param.child) + "ChildInto" +
-             backend_camel_name(info.param.joiner) + "Joiner";
-    });
+INSTANTIATE_TEST_SUITE_P(Backends, SpecBufferSameBackendJoin,
+                         ::testing::Values(BufferBackend::kStaticHash,
+                                           BufferBackend::kGrowableLog),
+                         backend_test_name);
+
+// A buffer pairs only with a joiner of its own backend: a mixed join has
+// no store to pair with and must fail loudly rather than misread one.
+TEST(SpecBufferJoinDeathTest, CrossBackendMergeDies) {
+  SpecBuffer joiner, child;
+  joiner.init(BufferBackend::kGrowableLog, 8, 64);
+  child.init(BufferBackend::kStaticHash, 8, 64);
+  EXPECT_DEATH(child.merge_into(joiner), "different buffer backends");
+}
 
 // --- fast-path / slow-path equivalence ---
 //
@@ -854,7 +845,7 @@ TEST_P(SpecBufferEquivalence, CompletedFullMarkMakesViewValid) {
 // reaches the prediction and dooms with the mispredict reason otherwise.
 TEST_P(SpecBufferEquivalence, PredictedFirstTouchCachesPredictedValue) {
   constexpr uint64_t kStride = 7;
-  fast_.init(GetParam(), 8, 64, {}, GrowableSet::kMaxLog2, nullptr,
+  fast_.init(GetParam(), 8, 64, GrowableSet::kMaxLog2, nullptr,
              SpecPredictPolicy{.enabled = true,
                                .confidence_threshold = 2,
                                .stride_window = uint64_t{1} << 16,
@@ -1084,9 +1075,7 @@ TEST_P(SpecBufferEquivalence, LargeSetsValidateAndCommitByteExact) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, SpecBufferEquivalence,
                          ::testing::Values(BufferBackend::kStaticHash,
-                                           BufferBackend::kGrowableLog,
-                                           BufferBackend::kAdaptive,
-                                           BufferBackend::kNumaSharded),
+                                           BufferBackend::kGrowableLog),
                          backend_test_name);
 
 }  // namespace

@@ -9,8 +9,9 @@
 //
 // Randomized streams of mixed aligned / unaligned / word-straddling /
 // multi-word operations are then driven simultaneously against the model
-// and against every backend — kStaticHash, kGrowableLog, kAdaptive (both
-// before and after a flip) — each buffering over its own identical arena.
+// and against both backends — kStaticHash and kGrowableLog, each with and
+// without an unconfident value predictor — each buffering over its own
+// identical arena.
 // Every load must return byte-identical data, every epoch must produce
 // identical validation outcomes (including under injected main-memory
 // perturbations), identical set footprints, identical doom state, and
@@ -18,10 +19,8 @@
 // any divergence replays deterministically.
 //
 // The backend-specific *capacity* behavior (which the model deliberately
-// does not share) is pinned separately at the bottom: doom reasons, the
-// growable hard cap under kAdaptive, and the per-speculation zeroing of
-// the overflow_events/backend_flips counters vs the per-slot persistence
-// of the flipped state.
+// does not share) is pinned in runtime_global_buffer_test: the static
+// hash's overflow doom and the growable log's resize and hard-cap doom.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -157,38 +156,15 @@ struct Contestant {
 
 class SpecBufferModelTest : public ::testing::Test {
  protected:
-  // 7 contestants: the two concrete backends, an adaptive slot still on
-  // its starting static hash, an adaptive slot that has already flipped
-  // to the growable log, the two concrete backends again with value
-  // prediction enabled but never confident, and the NUMA-sharded store
-  // (2 shards at sub-arena granularity, so the random stream genuinely
-  // crosses shard boundaries).
-  static constexpr int kContestants = 7;
+  // 4 contestants: the two backends, and the two again with value
+  // prediction enabled but never confident.
+  static constexpr int kContestants = 4;
 
   void SetUp() override {
     c_[0].name = "static-hash";
     c_[0].buf.init(BufferBackend::kStaticHash, kTableLog2, 64);
     c_[1].name = "growable-log";
     c_[1].buf.init(BufferBackend::kGrowableLog, kTableLog2, 64);
-    c_[2].name = "adaptive-unflipped";
-    c_[2].buf.init(BufferBackend::kAdaptive, kTableLog2, 64);
-    // The flipped contestant starts on a deliberately tiny static table,
-    // is overflow-doomed once, and re-armed with a threshold of 1: its
-    // next speculation — the differential run — executes on the growable
-    // log under the kAdaptive dispatch.
-    c_[3].name = "adaptive-flipped";
-    c_[3].buf.init(BufferBackend::kAdaptive, 4, 2,
-                   SpecBuffer::AdaptivePolicy{/*overflow_threshold=*/1,
-                                              /*calm_hysteresis=*/64});
-    for (int i = 0; i < 8 && !c_[3].buf.doomed(); ++i) {
-      uint64_t v = 1;  // stride 16 words: every store collides in slot 0
-      c_[3].buf.store_bytes(c_[3].addr(static_cast<size_t>(i) * 16 * 8), &v,
-                            8);
-    }
-    ASSERT_TRUE(c_[3].buf.doomed());
-    c_[3].buf.rearm();
-    ASSERT_EQ(c_[3].buf.active_backend(), BufferBackend::kGrowableLog);
-    ASSERT_EQ(c_[2].buf.active_backend(), BufferBackend::kStaticHash);
     // Prediction-enabled contestants with an unreachable confidence
     // threshold (entry confidence saturates at 64): the whole prediction
     // machinery runs — table sizing, the settle walk, failure-path
@@ -198,20 +174,12 @@ class SpecBufferModelTest : public ::testing::Test {
                                   .confidence_threshold = 65,
                                   .stride_window = uint64_t{1} << 16,
                                   .table_log2 = 8};
-    c_[4].name = "static-hash-predict-unconfident";
-    c_[4].buf.init(BufferBackend::kStaticHash, kTableLog2, 64, {},
+    c_[2].name = "static-hash-predict-unconfident";
+    c_[2].buf.init(BufferBackend::kStaticHash, kTableLog2, 64,
                    GrowableSet::kMaxLog2, nullptr, unconfident);
-    c_[5].name = "growable-log-predict-unconfident";
-    c_[5].buf.init(BufferBackend::kGrowableLog, kTableLog2, 64, {},
+    c_[3].name = "growable-log-predict-unconfident";
+    c_[3].buf.init(BufferBackend::kGrowableLog, kTableLog2, 64,
                    GrowableSet::kMaxLog2, nullptr, unconfident);
-    // region_log2 = 8 splits each 1 KiB window into four 256-byte regions
-    // alternating between the two shards, so every random stream exercises
-    // the cross-shard routing, not one shard in isolation.
-    c_[6].name = "numa-sharded";
-    c_[6].buf.init(BufferBackend::kNumaSharded, kTableLog2, 64, {},
-                   GrowableSet::kMaxLog2, nullptr, {}, nullptr,
-                   SpecBuffer::NumaPolicy{/*shards=*/2, /*region_log2=*/8,
-                                          /*home_shard=*/0});
 
     for (size_t i = 0; i < kArenaBytes; ++i) {
       uint8_t v = static_cast<uint8_t>(i * 131 + 7);
@@ -301,149 +269,13 @@ TEST_F(SpecBufferModelTest, RandomOpsMatchByteModelOnEveryBackend) {
       for (Contestant& c : c_) c.buf.rearm();
       model.reset();
     }
-    // The flipped slot must still be flipped after all those re-arms
-    // (large footprints are not "calm"), the unflipped one still unflipped
-    // (it never doomed).
-    EXPECT_EQ(c_[3].buf.active_backend(), BufferBackend::kGrowableLog);
-    EXPECT_EQ(c_[2].buf.active_backend(), BufferBackend::kStaticHash);
   }
   // The perturbation probes failed validations, and failed validations
   // train the predictor from the conflicting words — the table must have
   // been learning all along even though it never got confident enough to
   // serve.
-  EXPECT_GT(c_[4].buf.predictor().entries(), 0u);
-  EXPECT_GT(c_[5].buf.predictor().entries(), 0u);
-  // The sharded contestant really routed (per-epoch counters were cleared
-  // by the final rearm, so check the lifetime evidence instead: windows
-  // split at 256-byte regions cannot have kept one shard empty).
-  EXPECT_EQ(c_[6].buf.active_backend(), BufferBackend::kNumaSharded);
-}
-
-TEST_F(SpecBufferModelTest, NumaShardedCountsRoutingAndLocalCommitWords) {
-  Contestant& c = c_[6];
-  // One word per 256-byte region: words 0 and 64 land in shard 0 (home),
-  // words 32 and 96 in shard 1.
-  uint64_t v = 7;
-  for (size_t w : {size_t{0}, size_t{32}, size_t{64}, size_t{96}}) {
-    c.buf.store_bytes(c.addr(w * 8), &v, 8);
-  }
-  ASSERT_EQ(c.buf.write_entries(), 4u);
-  EXPECT_GT(c.buf.stats().shard_probe_steps, 0u)
-      << "every find/insert takes one address-range routing decision";
-  ASSERT_EQ(c.buf.stats().local_commit_words, 0u) << "not committed yet";
-  c.buf.commit_to_memory();
-  EXPECT_EQ(c.buf.stats().local_commit_words, 2u)
-      << "exactly the home-shard words count as node-local commit stream";
-}
-
-// The harness above keeps every contestant inside its capacity; the
-// capacity *differences* are contract too, pinned here.
-
-TEST(SpecBufferModelDoom, AdaptiveDoomsAndReportsLikeStaticUntilFlipped) {
-  // Identically-sized tiny static hash vs adaptive slot (threshold high
-  // enough not to flip): byte-identical op streams must produce identical
-  // doom state and identical doom reasons.
-  SpecBuffer st, ad;
-  st.init(BufferBackend::kStaticHash, 4, 2);
-  ad.init(BufferBackend::kAdaptive, 4, 2,
-          SpecBuffer::AdaptivePolicy{/*overflow_threshold=*/100,
-                                     /*calm_hysteresis=*/16});
-  alignas(8) static uint64_t arena[1024];
-  for (int i = 0; i < 8; ++i) {
-    uint64_t v = static_cast<uint64_t>(i);
-    uintptr_t a = reinterpret_cast<uintptr_t>(&arena[i * 16]);  // colliding
-    st.store_bytes(a, &v, 8);
-    ad.store_bytes(a, &v, 8);
-    ASSERT_EQ(st.doomed(), ad.doomed()) << "store " << i;
-  }
-  ASSERT_TRUE(st.doomed());
-  EXPECT_STREQ(st.doom_reason(), ad.doom_reason());
-  EXPECT_EQ(st.stats().overflow_events, ad.stats().overflow_events);
-}
-
-TEST(SpecBufferModelDoom, AdaptiveUnderGrowableHardCapDoomsInsteadOfAborting) {
-  // A flipped adaptive slot that exhausts the growable hard cap (lowered
-  // from 2^28 via the max_log2 seam — nothing can allocate its way to the
-  // real one in a test) must doom the speculation exactly like static-hash
-  // exhaustion does, not abort the process.
-  SpecBuffer buf;
-  buf.init(BufferBackend::kAdaptive, 4, 2,
-           SpecBuffer::AdaptivePolicy{/*overflow_threshold=*/1,
-                                      /*calm_hysteresis=*/16},
-           /*growable_max_log2=*/4);
-  alignas(8) static uint64_t arena[1024];
-  auto store_word = [&](size_t word, uint64_t v) {
-    buf.store_bytes(reinterpret_cast<uintptr_t>(&arena[word]), &v, 8);
-  };
-  // Flip: one overflow-doomed speculation, then re-arm.
-  for (int i = 0; i < 8 && !buf.doomed(); ++i) {
-    store_word(static_cast<size_t>(i) * 16, 1);
-  }
-  ASSERT_TRUE(buf.doomed());
-  buf.rearm();
-  ASSERT_EQ(buf.active_backend(), BufferBackend::kGrowableLog);
-  EXPECT_EQ(buf.stats().backend_flips, 1u);
-  EXPECT_EQ(buf.stats().overflow_events, 0u) << "zeroed per speculation";
-
-  // Exhaust the capped growable index: 16 slots, one kept empty for probe
-  // termination, so the 16th distinct word dooms.
-  int stored = 0;
-  for (int i = 0; i < 64 && !buf.doomed(); ++i) {
-    store_word(static_cast<size_t>(i), 2);
-    ++stored;
-  }
-  ASSERT_TRUE(buf.doomed()) << "hard cap must doom, not grow forever";
-  EXPECT_EQ(stored, 16) << "one index slot stays reserved for probing";
-  EXPECT_STREQ(buf.doom_reason(),
-               "write-set exhausted the maximum growable index");
-  EXPECT_GE(buf.stats().overflow_events, 1u)
-      << "a hard-cap doom is a capacity doom, same as static exhaustion";
-
-  // Counters are per speculation; the flipped state is per slot.
-  buf.rearm();
-  EXPECT_EQ(buf.stats().overflow_events, 0u);
-  EXPECT_EQ(buf.stats().backend_flips, 0u);
-  EXPECT_EQ(buf.active_backend(), BufferBackend::kGrowableLog)
-      << "the flip persists across re-arms";
-  EXPECT_FALSE(buf.doomed());
-}
-
-TEST(SpecBufferModelDoom, StandaloneRearmDoesNotFlapOnRetainedCapacity) {
-  // In the standalone flow — rearm() with no settle-time reset() before
-  // it, as the model harness and the ablation benches drive it — the flip
-  // decision must still see the retiring speculation's footprint. A
-  // flipped slot whose big footprints fit the *grown* index pays zero
-  // resizes, so without the footprint guard every epoch would look calm
-  // and the slot would flip back, overflow-doom, and flip up again.
-  SpecBuffer buf;
-  buf.init(BufferBackend::kAdaptive, 4, 2,
-           SpecBuffer::AdaptivePolicy{/*overflow_threshold=*/1,
-                                      /*calm_hysteresis=*/2});
-  alignas(8) static uint64_t arena[128];
-  // Flip: one overflow-doomed epoch (colliding words), then re-arm.
-  for (int i = 0; i < 8 && !buf.doomed(); ++i) {
-    uint64_t v = 1;
-    buf.store_bytes(reinterpret_cast<uintptr_t>(&arena[i * 16]), &v, 8);
-  }
-  ASSERT_TRUE(buf.doomed());
-  buf.rearm();
-  ASSERT_EQ(buf.active_backend(), BufferBackend::kGrowableLog);
-  // Big-footprint epochs, well past the hysteresis count: after the first
-  // one grows the index, the rest resize nothing — but 64 words is not
-  // "calm" for a 16-slot static table, so the slot must stay flipped and
-  // never doom again.
-  for (int round = 0; round < 6; ++round) {
-    for (size_t i = 0; i < 64; ++i) {
-      uint64_t v = i;
-      buf.store_bytes(reinterpret_cast<uintptr_t>(&arena[i]), &v, 8);
-    }
-    ASSERT_FALSE(buf.doomed()) << "round " << round
-                               << ": slot flapped back to the static hash";
-    ASSERT_EQ(buf.active_backend(), BufferBackend::kGrowableLog)
-        << "round " << round;
-    buf.rearm();
-  }
-  EXPECT_EQ(buf.active_backend(), BufferBackend::kGrowableLog);
+  EXPECT_GT(c_[2].buf.predictor().entries(), 0u);
+  EXPECT_GT(c_[3].buf.predictor().entries(), 0u);
 }
 
 // --- The value-prediction policy layer, driven standalone -------------
@@ -459,7 +291,7 @@ class SpecBufferPredictTest : public ::testing::Test {
   static constexpr uint64_t kStride = 7;
 
   void SetUp() override {
-    buf_.init(BufferBackend::kStaticHash, 8, 64, {}, GrowableSet::kMaxLog2,
+    buf_.init(BufferBackend::kStaticHash, 8, 64, GrowableSet::kMaxLog2,
               /*arena=*/nullptr,
               SpecPredictPolicy{.enabled = true,
                                 .confidence_threshold = kThreshold,

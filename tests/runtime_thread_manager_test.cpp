@@ -359,9 +359,6 @@ TEST_P(ThreadManagerTest, BufferCountersDoNotLeakAcrossSpeculations) {
   ManagerConfig c = config(1);
   c.buffer_log2 = 4;  // tiny: every speculation stresses capacity
   c.overflow_cap = 4;
-  // Keep an adaptive slot on its starting static hash for all 3 rounds
-  // (the flip behavior itself is pinned by the AdaptiveBackend suite).
-  c.adaptive_overflow_threshold = 100;
   ThreadManager mgr(c);
   alignas(8) static uint64_t arena[128];
   mgr.begin_run();
@@ -378,21 +375,62 @@ TEST_P(ThreadManagerTest, BufferCountersDoNotLeakAcrossSpeculations) {
   }
   mgr.end_run();
   RunStats rs = mgr.collect_stats();
-  if (GetParam() == BufferBackend::kStaticHash ||
-      GetParam() == BufferBackend::kAdaptive) {
-    // Static hash — and an unflipped adaptive slot, which must behave
-    // identically: exactly one exhaustion doom per round, not a growing
-    // resurvey.
+  if (GetParam() == BufferBackend::kStaticHash) {
+    // Exactly one exhaustion doom per round, not a growing resurvey.
     EXPECT_EQ(rs.speculative.buffer.overflow_events, 3u);
     EXPECT_EQ(rs.speculative.buffer.resize_events, 0u);
     EXPECT_EQ(rs.speculative.rollbacks, 3u);
   } else {
-    // The growable log — and the sharded store built from per-node
-    // growable sets — absorbs the same pattern with resizes and commits.
+    // The growable log absorbs the same pattern with resizes and commits.
     EXPECT_EQ(rs.speculative.buffer.overflow_events, 0u);
     EXPECT_GT(rs.speculative.buffer.resize_events, 0u);
     EXPECT_EQ(rs.speculative.commits, 3u);
   }
+}
+
+TEST_P(ThreadManagerTest, ChildMergesIntoSpeculativeParentExactly) {
+  // A speculative parent joins its own child: the child validates against
+  // and merges into the parent's buffer, and the final commit must be
+  // byte-exact.
+  ThreadManager mgr(config(2));
+  alignas(8) static uint64_t arena[4];
+  std::memset(arena, 0, sizeof(arena));
+  mgr.register_space(arena, sizeof(arena));
+  ThreadManager* m = &mgr;
+  int rank = mgr.speculate(mgr.root(), ForkModel::kMixed, [m](ThreadData& td) {
+    // Parent writes a full word and one byte of another word.
+    uint64_t v = 0x1111111111111111ull;
+    td.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena[0]), &v, 8);
+    uint8_t b = 0xAA;
+    td.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena[1]), &b, 1);
+    int child = m->speculate(td, ForkModel::kMixed, [](ThreadData& ctd) {
+      // Child overlaps the parent's full word (child is logically later:
+      // its bytes must win), writes another byte of word 1, a fresh word
+      // 2, and reads word 3 (adopted into the parent's read-set).
+      uint64_t cv = 0x2222222222222222ull;
+      ctd.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena[0]), &cv, 8);
+      uint8_t cb = 0xBB;
+      ctd.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena[1]) + 2, &cb,
+                           1);
+      uint64_t cw = 0x3333333333333333ull;
+      ctd.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena[2]), &cw, 8);
+      uint64_t out;
+      ctd.sbuf.load_bytes(reinterpret_cast<uintptr_t>(&arena[3]), &out, 8);
+    });
+    ASSERT_GT(child, 0);
+    EXPECT_EQ(m->synchronize(td, td.children.back()),
+              ThreadManager::JoinResult::kCommit);
+  });
+  ASSERT_GT(rank, 0);
+  ASSERT_EQ(mgr.synchronize(mgr.root(), mgr.root().children.back()),
+            ThreadManager::JoinResult::kCommit);
+
+  EXPECT_EQ(arena[0], 0x2222222222222222ull) << "child write wins";
+  auto* b1 = reinterpret_cast<uint8_t*>(&arena[1]);
+  EXPECT_EQ(b1[0], 0xAA) << "parent byte survives the merge";
+  EXPECT_EQ(b1[2], 0xBB) << "child byte merges in";
+  EXPECT_EQ(b1[1], 0x00) << "unwritten byte stays untouched";
+  EXPECT_EQ(arena[2], 0x3333333333333333ull);
 }
 
 TEST_P(ThreadManagerTest, IdleFreelistSurvivesForkJoinChurn) {
@@ -458,340 +496,10 @@ TEST_P(ThreadManagerTest, ResetStatsClears) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, ThreadManagerTest,
-    ::testing::Values(BufferBackend::kStaticHash, BufferBackend::kGrowableLog,
-                      BufferBackend::kAdaptive, BufferBackend::kNumaSharded),
+    ::testing::Values(BufferBackend::kStaticHash, BufferBackend::kGrowableLog),
     [](const ::testing::TestParamInfo<BufferBackend>& info) {
       return backend_camel_name(info.param);
     });
-
-// --- adaptive per-slot backend selection (kAdaptive) ---
-//
-// The flip machinery lives in SpecBuffer::rearm(), but its contract is a
-// ThreadManager-level one: slots flip exactly at the configured threshold
-// of accumulated capacity dooms, hysteresis keeps a calm slot from
-// flapping between backends, the flipped state survives slot reuse across
-// speculations, and a tree with mixed-backend parent/child slots still
-// merges exactly. (This suite rides the runtime_ TSan/ASan CI regexes.)
-
-class AdaptiveBackendTest : public ::testing::Test {
- protected:
-  // Tiny static table (16 slots, 2 overflow) so a 64-word footprint
-  // reliably overflow-dooms the static hash and the growable log absorbs
-  // it with resizes.
-  ManagerConfig adaptive_config(uint64_t threshold, uint64_t hysteresis,
-                                int cpus = 1) {
-    ManagerConfig c;
-    c.num_cpus = cpus;
-    c.buffer_log2 = 4;
-    c.overflow_cap = 2;
-    c.buffer_backend = BufferBackend::kAdaptive;
-    c.adaptive_overflow_threshold = threshold;
-    c.adaptive_calm_hysteresis = hysteresis;
-    return c;
-  }
-
-  // One speculation; returns true when it committed. `words` sizes the
-  // speculative footprint: 64 overwhelms the tiny static table, 1 is calm.
-  bool run_round(ThreadManager& mgr, size_t words,
-                 BufferBackend* active_seen = nullptr) {
-    int r = mgr.speculate(mgr.root(), ForkModel::kMixed, [=](ThreadData& td) {
-      if (active_seen) *active_seen = td.sbuf.active_backend();
-      for (size_t i = 0; i < words; ++i) {
-        uint64_t v = i + 1;
-        td.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena_[i]), &v, 8);
-        if (td.sbuf.doomed()) return;  // stop at the "check point"
-      }
-    });
-    EXPECT_GT(r, 0);
-    return mgr.synchronize(mgr.root(), mgr.root().children.back()) ==
-           ThreadManager::JoinResult::kCommit;
-  }
-
-  alignas(8) static uint64_t arena_[128];
-};
-
-uint64_t AdaptiveBackendTest::arena_[128];
-
-TEST_F(AdaptiveBackendTest, SlotFlipsExactlyAtOverflowThreshold) {
-  ThreadManager mgr(adaptive_config(/*threshold=*/2, /*hysteresis=*/16));
-  mgr.begin_run();
-  // Rounds 1 and 2: still static (one capacity doom each), rolled back —
-  // the flip must not fire below the threshold.
-  EXPECT_FALSE(run_round(mgr, 64));
-  EXPECT_FALSE(run_round(mgr, 64));
-  // Round 3: the slot re-arms with two accumulated overflow events, flips
-  // to the growable log, and the very same footprint commits.
-  BufferBackend active = BufferBackend::kStaticHash;
-  EXPECT_TRUE(run_round(mgr, 64, &active));
-  EXPECT_EQ(active, BufferBackend::kGrowableLog);
-  mgr.end_run();
-  RunStats rs = mgr.collect_stats();
-  EXPECT_EQ(rs.speculative.rollbacks, 2u);
-  EXPECT_EQ(rs.speculative.commits, 1u);
-  EXPECT_EQ(rs.speculative.buffer.overflow_events, 2u);
-  EXPECT_EQ(rs.speculative.buffer.backend_flips, 1u)
-      << "exactly one flip, visible in the aggregated ThreadStats";
-  for (size_t i = 0; i < 64; ++i) {
-    ASSERT_EQ(arena_[i], i + 1) << "the flipped round must have committed";
-  }
-}
-
-TEST_F(AdaptiveBackendTest, HysteresisRevertsCalmSlotWithoutFlapping) {
-  ThreadManager mgr(adaptive_config(/*threshold=*/1, /*hysteresis=*/3));
-  mgr.begin_run();
-  EXPECT_FALSE(run_round(mgr, 64));  // R1: static dooms -> flip at rearm
-  EXPECT_TRUE(run_round(mgr, 64));   // R2: growable absorbs (resizes)
-  // R3..R5: calm rounds. R2's resizes reset the calm streak, so R3 is the
-  // first calm epoch; the slot must NOT flip back before the hysteresis
-  // count is reached (that would be flapping).
-  BufferBackend active = BufferBackend::kStaticHash;
-  EXPECT_TRUE(run_round(mgr, 1, &active));
-  EXPECT_EQ(active, BufferBackend::kGrowableLog);
-  EXPECT_TRUE(run_round(mgr, 1, &active));
-  EXPECT_EQ(active, BufferBackend::kGrowableLog)
-      << "two calm epochs < hysteresis of 3: must not flip back yet";
-  EXPECT_TRUE(run_round(mgr, 1, &active));
-  EXPECT_EQ(active, BufferBackend::kGrowableLog);
-  // R6: three calm epochs reached -> back on the static hash.
-  EXPECT_TRUE(run_round(mgr, 1, &active));
-  EXPECT_EQ(active, BufferBackend::kStaticHash)
-      << "hysteresis satisfied: the calm slot returns to the static hash";
-  mgr.end_run();
-  RunStats rs = mgr.collect_stats();
-  EXPECT_EQ(rs.speculative.buffer.backend_flips, 2u) << "up once, down once";
-}
-
-TEST_F(AdaptiveBackendTest, FlippedSlotSurvivesReuseAcrossSpeculations) {
-  ThreadManager mgr(adaptive_config(/*threshold=*/1, /*hysteresis=*/16));
-  mgr.begin_run();
-  EXPECT_FALSE(run_round(mgr, 64));
-  // Every subsequent reuse of the slot runs (and keeps running) on the
-  // growable log: big footprints commit round after round, and after the
-  // first growable round the grown capacity is carried forward, so no
-  // further resizes are needed either.
-  for (int round = 0; round < 5; ++round) {
-    BufferBackend active = BufferBackend::kStaticHash;
-    EXPECT_TRUE(run_round(mgr, 64, &active)) << "round " << round;
-    EXPECT_EQ(active, BufferBackend::kGrowableLog) << "round " << round;
-  }
-  mgr.end_run();
-  RunStats rs = mgr.collect_stats();
-  EXPECT_EQ(rs.speculative.buffer.backend_flips, 1u);
-  EXPECT_EQ(rs.speculative.commits, 5u);
-  uint64_t resizes_after_first = rs.speculative.buffer.resize_events;
-  EXPECT_GT(resizes_after_first, 0u) << "the first growable round grows";
-  // One more round: the retained capacity means zero additional resizes.
-  mgr.begin_run();
-  EXPECT_TRUE(run_round(mgr, 64));
-  mgr.end_run();
-  rs = mgr.collect_stats();
-  EXPECT_EQ(rs.speculative.buffer.resize_events, 0u)
-      << "grown capacity carried forward across slot reuse";
-}
-
-TEST_F(AdaptiveBackendTest, FlipSeedsGrowableIndexAtObservedFootprint) {
-  ThreadManager mgr(adaptive_config(/*threshold=*/1, /*hysteresis=*/16));
-  mgr.begin_run();
-  // R1: static dooms after filling the 16-slot table plus the 2 overflow
-  // slots — the slot observes a ~18-entry footprint at the doom point.
-  EXPECT_FALSE(run_round(mgr, 64));
-  mgr.end_run();
-  // R2: freshly flipped. The growable index is seeded at that observed
-  // footprint rather than the 16-slot configured floor, so a footprint of
-  // the same order commits with ZERO resizes instead of rediscovering the
-  // capacity through the doubling ladder.
-  mgr.begin_run();
-  BufferBackend active = BufferBackend::kStaticHash;
-  EXPECT_TRUE(run_round(mgr, 20, &active));
-  EXPECT_EQ(active, BufferBackend::kGrowableLog);
-  mgr.end_run();
-  RunStats rs = mgr.collect_stats();
-  EXPECT_EQ(rs.speculative.buffer.resize_events, 0u)
-      << "the flip hint must pre-size the index past the doubling ladder";
-}
-
-TEST_F(AdaptiveBackendTest, MixedBackendParentChildMergeIsExact) {
-  // A flipped (growable) parent slot joins an unflipped (static) child:
-  // the child validates against and merges into a different backend than
-  // its own, and the final commit must be byte-exact. Three slots, not
-  // two: in a 2-slot fleet a single flipped slot is already a majority
-  // and the fleet-following flip would homogenize the pair before the
-  // mixed pairing under test ever forms.
-  ThreadManager mgr(adaptive_config(/*threshold=*/1, /*hysteresis=*/16,
-                                    /*cpus=*/3));
-  mgr.register_space(arena_, sizeof(arena_));
-  // Flip the slot the next fork will claim (the freelist hands the joined
-  // rank right back).
-  EXPECT_FALSE(run_round(mgr, 64));
-  std::memset(arena_, 0, sizeof(arena_));
-
-  std::atomic<BufferBackend> parent_active{BufferBackend::kStaticHash};
-  std::atomic<BufferBackend> child_active{BufferBackend::kStaticHash};
-  ThreadManager* m = &mgr;
-  int rank = mgr.speculate(mgr.root(), ForkModel::kMixed, [&](ThreadData& td) {
-    parent_active = td.sbuf.active_backend();
-    // Parent writes a full word and one byte of another word.
-    uint64_t v = 0x1111111111111111ull;
-    td.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena_[0]), &v, 8);
-    uint8_t b = 0xAA;
-    td.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena_[1]), &b, 1);
-    int child = m->speculate(td, ForkModel::kMixed, [&](ThreadData& ctd) {
-      child_active = ctd.sbuf.active_backend();
-      // Child overlaps the parent's full word (child is logically later:
-      // its bytes must win), writes another byte of word 1, a fresh word
-      // 2, and reads word 3 (adopted into the parent's read-set).
-      uint64_t cv = 0x2222222222222222ull;
-      ctd.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena_[0]), &cv, 8);
-      uint8_t cb = 0xBB;
-      ctd.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena_[1]) + 2, &cb,
-                           1);
-      uint64_t cw = 0x3333333333333333ull;
-      ctd.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&arena_[2]), &cw, 8);
-      uint64_t out;
-      ctd.sbuf.load_bytes(reinterpret_cast<uintptr_t>(&arena_[3]), &out, 8);
-    });
-    ASSERT_GT(child, 0);
-    EXPECT_EQ(m->synchronize(td, td.children.back()),
-              ThreadManager::JoinResult::kCommit);
-  });
-  ASSERT_GT(rank, 0);
-  ASSERT_EQ(mgr.synchronize(mgr.root(), mgr.root().children.back()),
-            ThreadManager::JoinResult::kCommit);
-  EXPECT_EQ(parent_active.load(), BufferBackend::kGrowableLog);
-  EXPECT_EQ(child_active.load(), BufferBackend::kStaticHash);
-
-  EXPECT_EQ(arena_[0], 0x2222222222222222ull) << "child write wins";
-  auto* b1 = reinterpret_cast<uint8_t*>(&arena_[1]);
-  EXPECT_EQ(b1[0], 0xAA) << "parent byte survives the merge";
-  EXPECT_EQ(b1[2], 0xBB) << "child byte merges in";
-  EXPECT_EQ(b1[1], 0x00) << "unwritten byte stays untouched";
-  EXPECT_EQ(arena_[2], 0x3333333333333333ull);
-}
-
-TEST_F(AdaptiveBackendTest, FleetMajorityFlipsRemainingSlotsProactively) {
-  // Four slots, threshold 2: two of them earn their flips the hard way —
-  // two overflow-doomed rounds each — and the moment they form a
-  // half-the-fleet majority, the two slots that never doomed must come up
-  // already flipped: the fleet view spares them their own learning curve.
-  ThreadManager mgr(adaptive_config(/*threshold=*/2, /*hysteresis=*/64,
-                                    /*cpus=*/4));
-  mgr.begin_run();
-
-  // One wave = `n` concurrent speculations of `words` words each, then
-  // join them all newest-first (mixed model: later-speculated = logically
-  // earlier — joining oldest-first would NOSYNC the younger siblings).
-  // Records each fork's active backend; returns how many committed.
-  std::atomic<BufferBackend> active[4];
-  auto run_wave = [&](int n, size_t words) {
-    for (int i = 0; i < n; ++i) {
-      std::atomic<BufferBackend>* seen = &active[i];
-      int r = mgr.speculate(mgr.root(), ForkModel::kMixed,
-                            [seen, words](ThreadData& td) {
-                              *seen = td.sbuf.active_backend();
-                              for (size_t w = 0; w < words; ++w) {
-                                uint64_t v = w + 1;
-                                td.sbuf.store_bytes(
-                                    reinterpret_cast<uintptr_t>(&arena_[w]),
-                                    &v, 8);
-                                if (td.sbuf.doomed()) return;
-                              }
-                            });
-      EXPECT_GT(r, 0) << "wave fork " << i;
-    }
-    int committed = 0;
-    while (!mgr.root().children.empty()) {
-      if (mgr.synchronize(mgr.root(), mgr.root().children.back()) ==
-          ThreadManager::JoinResult::kCommit) {
-        ++committed;
-      }
-    }
-    return committed;
-  };
-
-  // Rounds 1-2: two concurrent 64-word speculations per round. The LIFO
-  // freelist hands the joined slots right back, so the same two slots
-  // doom twice each — still on the static hash, still below threshold.
-  EXPECT_EQ(run_wave(2, 64), 0);
-  EXPECT_EQ(active[0].load(), BufferBackend::kStaticHash);
-  EXPECT_EQ(active[1].load(), BufferBackend::kStaticHash);
-  EXPECT_EQ(run_wave(2, 64), 0);
-  EXPECT_EQ(active[0].load(), BufferBackend::kStaticHash);
-  EXPECT_EQ(active[1].load(), BufferBackend::kStaticHash);
-
-  // Round 3: the two veterans re-arm first (they top the freelist) and
-  // flip on their own accumulated evidence; the two fresh slots then see
-  // a half-flipped fleet at *their* re-arm and come up on the growable
-  // log without ever having doomed. Calm 1-word footprints: all commit.
-  EXPECT_EQ(run_wave(4, 1), 4);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(active[i].load(), BufferBackend::kGrowableLog)
-        << "round-3 fork " << i << " should start flipped";
-  }
-  mgr.end_run();
-  RunStats rs = mgr.collect_stats();
-  EXPECT_EQ(rs.speculative.buffer.backend_flips, 4u)
-      << "two earned flips plus two fleet-following flips";
-}
-
-TEST(SpecBufferFleet, CalmRevertedSlotResistsProactiveReflip) {
-  // Two standalone buffers sharing one fleet view. A flips on its own
-  // overflow evidence; B follows the (now half-flipped) fleet, then earns
-  // its way back to the static hash through calm hysteresis. The majority
-  // still stands — without the calm-revert latch B would be dragged
-  // straight back up and the pair would flap one slot per epoch forever.
-  SpecFleetView fleet;
-  fleet.slots = 2;
-  SpecBuffer a, b;
-  SpecBuffer::AdaptivePolicy policy{/*overflow_threshold=*/1,
-                                    /*calm_hysteresis=*/1};
-  a.init(BufferBackend::kAdaptive, 4, 2, policy, GrowableSet::kMaxLog2,
-         nullptr, {}, &fleet);
-  b.init(BufferBackend::kAdaptive, 4, 2, policy, GrowableSet::kMaxLog2,
-         nullptr, {}, &fleet);
-  alignas(8) static uint64_t arena[128];
-
-  // A: one overflow-doomed epoch (colliding words), flip at rearm.
-  for (int i = 0; i < 8 && !a.doomed(); ++i) {
-    uint64_t v = 1;
-    a.store_bytes(reinterpret_cast<uintptr_t>(&arena[i * 16]), &v, 8);
-  }
-  ASSERT_TRUE(a.doomed());
-  a.rearm();
-  ASSERT_EQ(a.active_backend(), BufferBackend::kGrowableLog);
-  EXPECT_EQ(fleet.flipped.load(), 1u);
-
-  // B never doomed, but half the fleet has flipped: its next rearm
-  // follows proactively.
-  b.rearm();
-  EXPECT_EQ(b.active_backend(), BufferBackend::kGrowableLog);
-  EXPECT_EQ(fleet.flipped.load(), 2u);
-
-  // One calm epoch satisfies B's hysteresis of 1: it reverts and latches.
-  uint64_t v = 1;
-  b.store_bytes(reinterpret_cast<uintptr_t>(&arena[0]), &v, 8);
-  b.rearm();
-  EXPECT_EQ(b.active_backend(), BufferBackend::kStaticHash);
-  EXPECT_EQ(fleet.flipped.load(), 1u);
-
-  // The majority condition still holds (1 of 2 flipped), but the latch
-  // keeps B down through further calm epochs.
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    b.store_bytes(reinterpret_cast<uintptr_t>(&arena[0]), &v, 8);
-    b.rearm();
-    ASSERT_EQ(b.active_backend(), BufferBackend::kStaticHash)
-        << "epoch " << epoch << ": calm-reverted slot must not re-follow";
-  }
-
-  // Fresh overflow evidence of B's own clears the latch: it flips again —
-  // and becomes eligible for fleet-following after any future calm revert.
-  for (int i = 0; i < 8 && !b.doomed(); ++i) {
-    b.store_bytes(reinterpret_cast<uintptr_t>(&arena[i * 16]), &v, 8);
-  }
-  ASSERT_TRUE(b.doomed());
-  b.rearm();
-  EXPECT_EQ(b.active_backend(), BufferBackend::kGrowableLog);
-  EXPECT_EQ(fleet.flipped.load(), 2u);
-}
 
 // --- NUMA topology-aware fork placement (per-node idle freelists) ---
 //
@@ -804,7 +512,7 @@ TEST(SpecBufferFleet, CalmRevertedSlotResistsProactiveReflip) {
 // runtime_ TSan/ASan CI regexes.)
 
 TEST(NumaFreelist, FakeTopologyShapesRankToNodeMapping) {
-  ManagerConfig c = small_config(BufferBackend::kNumaSharded, 4);
+  ManagerConfig c = small_config(BufferBackend::kStaticHash, 4);
   c.numa_nodes = 2;
   ThreadManager mgr(c);
   ASSERT_EQ(mgr.num_nodes(), 2);
@@ -832,7 +540,7 @@ TEST(NumaFreelist, NodeCountClampsToCpuCount) {
 }
 
 TEST(NumaFreelist, TwoNodeChurnLosesNoRankAndCountsSteals) {
-  ManagerConfig c = small_config(BufferBackend::kNumaSharded, 4);
+  ManagerConfig c = small_config(BufferBackend::kStaticHash, 4);
   c.numa_nodes = 2;
   ThreadManager mgr(c);
   ASSERT_EQ(mgr.num_nodes(), 2);
@@ -873,7 +581,7 @@ TEST(NumaFreelist, ConcurrentWorkerClaimsStayDistinct) {
   // made its fork attempt, and a rank is only pushed back to its freelist
   // after release — so a set bit in the mask means exactly "handed out
   // twice", never legal sequential reuse within the round.
-  ManagerConfig c = small_config(BufferBackend::kNumaSharded, 4);
+  ManagerConfig c = small_config(BufferBackend::kStaticHash, 4);
   c.numa_nodes = 2;
   ThreadManager mgr(c);
   ThreadManager* m = &mgr;

@@ -70,9 +70,7 @@ TEST_P(BufferSemantics, SpeculativeViewMatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(
     BackendsAndSeeds, BufferSemantics,
     ::testing::Combine(::testing::Values(BufferBackend::kStaticHash,
-                                         BufferBackend::kGrowableLog,
-                                         BufferBackend::kAdaptive,
-                                         BufferBackend::kNumaSharded),
+                                         BufferBackend::kGrowableLog),
                        ::testing::Range(1, 9)),
     [](const ::testing::TestParamInfo<std::tuple<BufferBackend, int>>& info) {
       return backend_camel_name(std::get<0>(info.param)) + "Seed" +
@@ -155,9 +153,7 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, SpecTreeStress,
     ::testing::Combine(
         ::testing::Values(BufferBackend::kStaticHash,
-                          BufferBackend::kGrowableLog,
-                          BufferBackend::kAdaptive,
-                          BufferBackend::kNumaSharded),
+                          BufferBackend::kGrowableLog),
         ::testing::Values(TreeCase{1, 0.0, 10, 1}, TreeCase{2, 0.0, 10, 2},
                           TreeCase{4, 0.0, 10, 3}, TreeCase{4, 0.3, 10, 4},
                           TreeCase{2, 1.0, 10, 5}, TreeCase{4, 0.1, 4, 6},
