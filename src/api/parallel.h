@@ -11,8 +11,21 @@
 //    one-liner entry points for the paper's three program shapes (loop,
 //    divide and conquer, depth-first/staged work), built on the drivers and
 //    the tree-form fork so a new scenario needs no protocol code at all.
+//
+// `spec_for` puts the calling thread to work. It runs a prefix of the
+// chunks itself — natively when it is the non-speculative thread — while
+// up to `num_cpus` detached speculations ("pieces") run contiguous runs of
+// the remaining chunks, in order. Where the prefix ends and each piece
+// starts (the "cuts") is learned per loop site: after every call in which
+// all pieces committed, the cuts move toward equal finish times, so a loop
+// whose speculative chunks run several times slower than native ones
+// hands most chunks to the caller, and a loop with uneven chunk costs gets
+// cuts that split the cost rather than the chunk count.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -61,26 +74,122 @@ void spec_for_nested(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end,
   d.run(ctx, 0);
 }
 
-// In-order loop speculation driver (the paper's loop pattern, section II):
-// splits [begin, end) into `chunks` contiguous pieces. Every chain link
-// forks the continuation *detached* and executes its chunk; the calling
-// thread then joins the chain link by link, adopting each link's child
-// (paper IV-F: children survive the join). Each join frees a virtual CPU,
-// which the chain tail immediately reuses — reproducing the steady-state
-// redistribution of the paper's counter-based resumption, where with 64
-// chunks speedup plateaus from 32 to 63 CPUs and jumps at 64. A link whose
-// fork is denied simply continues the chain itself; a rolled-back link
-// cascades (the rest of the chain is NOSYNCed and re-executed inline), the
-// classic in-order rollback behaviour.
-// The body receives (ctx, chunk_index, lo, hi).
+namespace detail {
+
+// The balance record of one `spec_for` site: one per instantiation,
+// living for the process, so a loop that runs once per program run (or
+// once per Runtime) still starts from what earlier runs learned. Segment 0
+// is the caller's prefix and segment k the k-th piece; cut k, stored as a
+// fraction of the chunk range, is where piece k starts. Relaxed atomics:
+// two runtimes calling one site from two threads may interleave their
+// updates, which costs balance, never correctness — every call clamps the
+// cuts it reads into a valid split.
+class LoopBalance {
+ public:
+  // Pieces per call at most; a loop on more virtual CPUs leaves the rest
+  // idle.
+  static constexpr int kMaxPieces = 64;
+
+  // Fills bound[0..pieces + 1] with the chunk bounds of the next call:
+  // segment s is [bound[s], bound[s + 1]), and every segment gets at least
+  // one chunk. A record trained for another piece count restarts from
+  // equal segments.
+  void bounds(int pieces, int chunks, int* bound) {
+    bound[0] = 0;
+    bound[pieces + 1] = chunks;
+    if (pieces == 0) return;
+    if (pieces_.load(std::memory_order_relaxed) != pieces) {
+      const float segments = static_cast<float>(pieces + 1);
+      for (int k = 1; k <= pieces; ++k) {
+        cut_[k - 1].store(static_cast<float>(k) / segments,
+                          std::memory_order_relaxed);
+      }
+      pieces_.store(pieces, std::memory_order_relaxed);
+    }
+    for (int k = 1; k <= pieces; ++k) {
+      long b = std::lround(cut_[k - 1].load(std::memory_order_relaxed) *
+                           static_cast<float>(chunks));
+      bound[k] = static_cast<int>(std::clamp<long>(
+          b, bound[k - 1] + 1, chunks - (pieces + 1 - k)));
+    }
+  }
+
+  // Moves the cuts after a call in which every piece committed. start[s]
+  // and finish[s] are when segment s's first chunk began and its last
+  // chunk ended, in ns since the call began (so a piece's finish includes
+  // its fork latency). Each segment's measured rate predicts the common
+  // finish time T at which all segments would end if chunks moved freely;
+  // every cut then moves by half the chunks the segments before it must
+  // gain or shed to end at T. Half steps keep one noisy call from
+  // overshooting, and a loop with uneven chunk costs converges because the
+  // rate estimate is refreshed as the cuts move.
+  void rebalance(int pieces, int chunks, const int* bound,
+                 const uint64_t* start, const uint64_t* finish) {
+    double rate[kMaxPieces + 1];  // chunks per ns
+    double num = 0.0, den = 0.0;
+    for (int s = 0; s <= pieces; ++s) {
+      double busy = static_cast<double>(finish[s] - start[s]);
+      rate[s] = static_cast<double>(bound[s + 1] - bound[s]) /
+                std::max(busy, 1.0);
+      num += static_cast<double>(finish[s]) * rate[s];
+      den += rate[s];
+    }
+    const double target = num / den;
+    double gained = 0.0;  // chunks segments 0..k-1 gain, in half steps
+    float prev = 0.0f;
+    for (int k = 1; k <= pieces; ++k) {
+      gained += 0.5 * (target - static_cast<double>(finish[k - 1])) *
+                rate[k - 1];
+      float cut = cut_[k - 1].load(std::memory_order_relaxed) +
+                  static_cast<float>(gained / chunks);
+      // Keep the cut inside the range its bound can take, so a cut pinned
+      // at a one-chunk minimum does not wind up past it.
+      float lo = static_cast<float>(k) / static_cast<float>(chunks);
+      float hi = static_cast<float>(chunks - (pieces + 1 - k)) /
+                 static_cast<float>(chunks);
+      cut = std::clamp(cut, std::max(lo, prev), hi);
+      cut_[k - 1].store(cut, std::memory_order_relaxed);
+      prev = cut;
+    }
+  }
+
+ private:
+  std::atomic<int> pieces_{0};
+  std::atomic<float> cut_[kMaxPieces];
+};
+
+}  // namespace detail
+
+// The loop driver (the paper's loop pattern, section II, run with the
+// mixed model's out-of-order forks and LIFO joins, IV-F): splits
+// [begin, end) into `chunks` contiguous chunks and calls body(ctx,
+// chunk_index, lo, hi) once per chunk, in chunk order as far as the result
+// can tell, with a check point after every chunk.
+//
+// The schedule. With n = min(num_cpus, chunks - 1) pieces, the caller owns
+// chunks [0, c1) and piece k owns [c_k, c_{k+1}). The pieces are forked
+// far-first as detached speculations tagged k, so the children stack
+// returns them nearest-first. The caller runs its prefix, then walks the
+// pieces in order: a committed piece needs nothing more; a rolled-back or
+// denied piece has its chunks run inline by the caller. There is no
+// cascade: each piece is validated against exactly the state its
+// predecessors left, so it stands or falls on its own reads.
+//
+// The cuts come from this instantiation's LoopBalance record (above):
+// equal segments when cold, moved toward equal finish times after every
+// call in which all pieces committed; a rollback or a denied fork leaves
+// them alone.
+//
+// Fork models: under kInOrder (the argument or the Runtime's
+// model_override) the non-speculative thread may fork only while nothing
+// else is live, so the farthest piece speculates and the caller runs every
+// other chunk itself. Results stay exact under every model; only the
+// overlap differs.
 //
 // Fork-to-settle latency sampling (the serving bench's percentile source):
 // pass a histogram plus a scratch array of at least `chunks` entries. The
-// forker of link i stamps fork_ns_scratch[i] just before forking it, and
-// the joining thread records now - stamp after each adopted join. A denied
-// fork leaves a stale stamp that is never read (its tag is never joined);
-// visibility of a worker's stamp to the joiner rides the fork-publish and
-// settle/adopt edges the chain already synchronizes on.
+// caller stamps fork_ns_scratch[k] just before forking piece k and records
+// now - stamp at its join, one sample per granted piece.
 template <typename BodyFn>
 void spec_for(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end, int chunks,
               ForkModel model, const BodyFn& body,
@@ -89,64 +198,76 @@ void spec_for(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end, int chunks,
   if (begin >= end || chunks <= 0) return;
   MUTLS_CHECK(fork_latency == nullptr || fork_ns_scratch != nullptr,
               "latency sampling needs a per-chunk scratch array");
-  struct Driver {
-    Runtime& rt;
+  using detail::LoopBalance;
+  static LoopBalance site;
+  struct Schedule {
     int64_t begin, end;
     int chunks;
-    ForkModel model;
     const BodyFn& body;
-    uint64_t* fork_ns;  // null when sampling is off
+    uint64_t t0;
+    int bound[LoopBalance::kMaxPieces + 2] = {};
+    // Per segment, ns since t0. A piece writes its own entries on its
+    // thread; the caller reads them only after that piece's committed
+    // join, which orders the writes.
+    uint64_t start[LoopBalance::kMaxPieces + 1] = {};
+    uint64_t finish[LoopBalance::kMaxPieces + 1] = {};
 
-    int64_t bound(int i) const {
-      return begin + (end - begin) * i / chunks;
-    }
-
-    // Runs chunks starting at `i`: forks the continuation (detached) and
-    // runs one chunk; on fork denial, keeps the chain alive by continuing
-    // with the next chunk itself.
-    void chain(Ctx& c, int i) const {
-      while (true) {
-        bool forked = false;
-        if (i + 1 < chunks) {
-          int next = i + 1;
-          if (fork_ns != nullptr) fork_ns[next] = now_ns();
-          Spec s = rt.fork(
-              c,
-              ForkOpts{.model = model,
-                       .tag = static_cast<uint64_t>(next),
-                       .detached = true},
-              [this, next](Ctx& cc) { chain(cc, next); });
-          forked = s.speculated();
-        }
-        body(c, i, bound(i), bound(i + 1));
+    void run(Ctx& c, int s) {
+      start[s] = now_ns() - t0;
+      for (int i = bound[s]; i < bound[s + 1]; ++i) {
+        body(c, i, begin + (end - begin) * i / chunks,
+             begin + (end - begin) * (i + 1) / chunks);
         c.check_point();
-        if (forked || i + 1 >= chunks) return;
-        ++i;
       }
+      finish[s] = now_ns() - t0;
     }
   };
-  Driver d{rt,    begin, end, chunks,
-           model, body,  fork_latency ? fork_ns_scratch : nullptr};
+  const int pieces =
+      std::min({rt.num_cpus(), chunks - 1, LoopBalance::kMaxPieces});
+  Schedule w{begin, end, chunks, body, now_ns()};
+  site.bounds(pieces, chunks, w.bound);
 
-  size_t base_children = ctx.thread_data().children.size();
-  d.chain(ctx, 0);
-  // Join the chain in logical order, adopting each link's child.
-  while (ctx.thread_data().children.size() > base_children) {
-    Runtime::AdoptedJoin j = rt.join_next(ctx);
-    MUTLS_CHECK(j.joined, "loop chain lost a child");
-    if (fork_latency != nullptr &&
-        j.tag < static_cast<uint64_t>(chunks)) {
-      // Every settle counts, commit or rollback: the bench's percentiles
-      // describe round-trip cost, and rollbacks are part of that cost.
-      fork_latency->record(now_ns() - fork_ns_scratch[j.tag]);
+  ThreadData& td = ctx.thread_data();
+  const size_t base = td.children.size();
+  bool granted[LoopBalance::kMaxPieces + 1];
+  bool clean = true;  // every piece granted and committed
+  try {
+    for (int k = pieces; k >= 1; --k) {
+      if (fork_latency != nullptr) fork_ns_scratch[k] = now_ns();
+      granted[k] = rt.fork(ctx,
+                           ForkOpts{.model = model,
+                                    .tag = static_cast<uint64_t>(k),
+                                    .detached = true},
+                           [&w, k](Ctx& c) { w.run(c, k); })
+                       .speculated();
     }
-    if (j.outcome == JoinOutcome::kRolledBack) {
-      // In-order cascade: everything after the failed link is discarded
-      // and re-executed inline from the failed link's first chunk.
-      rt.manager().nosync_children(ctx.thread_data(), base_children);
-      d.chain(ctx, static_cast<int>(j.tag));
+    w.run(ctx, 0);
+    for (int k = 1; k <= pieces; ++k) {
+      bool committed = false;
+      if (granted[k]) {
+        Runtime::AdoptedJoin j = rt.join_next(ctx);
+        MUTLS_CHECK(j.joined && j.tag == static_cast<uint64_t>(k),
+                    "spec_for joined another speculation than its next "
+                    "piece (a body left a detached child unjoined?)");
+        // Every settle counts, commit or rollback: the bench's
+        // percentiles describe round-trip cost, and rollbacks are part of
+        // that cost.
+        if (fork_latency != nullptr) {
+          fork_latency->record(now_ns() - fork_ns_scratch[k]);
+        }
+        committed = j.outcome == JoinOutcome::kCommitted;
+      }
+      if (!committed) {
+        clean = false;
+        w.run(ctx, k);
+      }
     }
+  } catch (...) {
+    // The live pieces run on this frame: discard them before it unwinds.
+    rt.manager().nosync_children(td, base);
+    throw;
   }
+  if (clean) site.rebalance(pieces, chunks, w.bound, w.start, w.finish);
 }
 
 namespace par {
@@ -154,13 +275,14 @@ namespace par {
 // Options shared by the loop-shaped algorithms.
 struct LoopOpts {
   // Number of contiguous chunks the range is split into. 0 picks twice the
-  // virtual-CPU count, the steady-state redistribution sweet spot.
+  // virtual-CPU count. The chunk is the unit the cuts move by: more chunks
+  // let spec_for balance its segments more finely.
   int chunks = 0;
 
   ForkModel model = ForkModel::kMixed;
 
-  // Use the nested chain driver instead of the adoption chain (ablation,
-  // or when the loop itself runs inside a deeply speculated region).
+  // Use the nested chain driver instead of spec_for (ablation, or when the
+  // loop itself runs inside a deeply speculated region).
   bool nested = false;
 
   // When > 0, poll Ctx::check_point every this many elements inside a
@@ -168,11 +290,11 @@ struct LoopOpts {
   // boundaries.
   int64_t checkpoint_every = 0;
 
-  // Fork-to-settle latency sampling (adoption-chain driver only; the
-  // nested driver ignores it). Both must be set together: the histogram
-  // receives one sample per adopted join, stamped through the scratch
-  // array, which needs capacity for `chunks` entries and whose contents
-  // are meaningless between calls.
+  // Fork-to-settle latency sampling (spec_for only; the nested driver
+  // ignores it). Both must be set together: the histogram receives one
+  // sample per granted piece, stamped through the scratch array, which
+  // needs capacity for `chunks` entries and whose contents are meaningless
+  // between calls.
   LatencyHistogram* fork_latency = nullptr;
   uint64_t* fork_ns_scratch = nullptr;
 };
@@ -182,7 +304,7 @@ inline int resolve_chunks(const Runtime& rt, const LoopOpts& opts) {
 }
 
 // Chunk-wise parallel loop: body(ctx, chunk_index, lo, hi) over [begin,
-// end) split into opts.chunks pieces, speculated as an in-order chain.
+// end) split into opts.chunks chunks, run by spec_for's schedule.
 template <typename BodyFn>
 void for_each_chunk(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end,
                     const LoopOpts& opts, const BodyFn& body) {
@@ -342,11 +464,12 @@ void divide_and_conquer(Runtime& rt, Ctx& ctx, const P& p,
 }
 
 // Speculative pipeline: runs `stages` (in order) on every item in
-// [0, items), speculating ahead across item blocks with the in-order
-// chain. Cross-item flow dependencies — a stage reading what an earlier
+// [0, items), speculating ahead across item blocks with spec_for's
+// schedule. Cross-item flow dependencies — a stage reading what an earlier
 // item's stage wrote — are not forbidden: the buffer map detects the
-// violated read and the chain cascades and re-executes, so results stay
-// exactly sequential; dependency-light pipelines simply overlap.
+// violated read, and the piece that made it fails validation and has its
+// items re-run by the caller, so results stay exactly sequential;
+// dependency-light pipelines simply overlap.
 using PipelineStage = std::function<void(Ctx&, int64_t)>;
 
 inline void pipeline(Runtime& rt, Ctx& ctx, int64_t items,

@@ -27,7 +27,7 @@
 //
 // Every fork shape goes through the single `Runtime::fork(ctx, ForkOpts,
 // body)`: plain speculation, live-in prediction (`.predictions`), and the
-// detached loop-chain form (`.tag`/`.detached`) that v1 exposed as three
+// detached loop-piece form (`.tag`/`.detached`) that v1 exposed as three
 // separate entry points (fork / fork_predicted / fork_tagged).
 #pragma once
 
@@ -85,14 +85,14 @@ struct ForkOpts {
   PredictionList predictions{};
 
   // Opaque payload the eventual joiner receives through join_next(); used
-  // by detached loop chains to re-execute a region after rollback.
+  // by spec_for to name the piece a join returned.
   uint64_t tag = 0;
 
-  // Detached fork (the loop-chain pattern): the forker does NOT join this
+  // Detached fork (spec_for's pieces): the forker does NOT join this
   // child; the child is left on the children stack to be *adopted* by
   // whoever joins the forker (paper IV-F: a joined child's children are
-  // preserved). The returned Spec carries no join obligation; only
-  // speculated() is meaningful on it.
+  // preserved) — or by the forker itself through join_next(). The returned
+  // Spec carries no join obligation; only speculated() is meaningful on it.
   bool detached = false;
 };
 
@@ -228,7 +228,7 @@ class Runtime {
   // follows the matching join point). Returns a handle; when speculation is
   // denied the handle simply defers `body` to join(). This is the single
   // fork entry point — ForkOpts selects the model, live-in predictions and
-  // the detached loop-chain form.
+  // the detached loop-piece form.
   template <typename F>
   Spec fork(Ctx& ctx, ForkOpts opts, F&& body) {
     MUTLS_CHECK(!opts.detached || opts.predictions.empty(),
@@ -246,11 +246,12 @@ class Runtime {
                   "for inline re-execution on rollback");
     Spec s;
     s.detached_ = opts.detached;
-    // The handle keeps its own copy of the region (join may run it inline),
-    // stored in the *forker's* arena; the speculated wrapper below is
-    // emplaced by speculate() into the *child's* arena. Neither touches the
-    // global heap at steady state.
-    s.task_.emplace(body, &ctx.thread_data().arena);
+    // A joinable handle keeps its own copy of the region (join may run it
+    // inline), stored in the *forker's* arena; the speculated wrapper below
+    // is emplaced by speculate() into the *child's* arena. Neither touches
+    // the global heap at steady state. A detached handle keeps none: join()
+    // rejects it, and a denied detached fork is the caller's to continue.
+    if (!opts.detached) s.task_.emplace(body, &ctx.thread_data().arena);
     s.predictions_ = std::move(opts.predictions);
     const PredictionList& predictions = s.predictions_;
     const uint64_t tag = opts.tag;
@@ -305,8 +306,7 @@ class Runtime {
 
   // Joins the most recent child on the caller's children stack (own or
   // adopted). On rollback the caller is responsible for re-executing the
-  // region identified by `tag` (typically after NOSYNC-ing the rest of the
-  // chain, since in-order semantics cascade the rollback).
+  // region identified by `tag`.
   AdoptedJoin join_next(Ctx& ctx) {
     AdoptedJoin r;
     ThreadData& td = ctx.thread_data();
@@ -387,7 +387,17 @@ class Runtime {
   RunStats run(F&& f) {
     mgr_.begin_run();
     Ctx root(*this, mgr_.root());
-    f(root);
+    try {
+      f(root);
+    } catch (...) {
+      // The region was abandoned. Discard what the root still has live, or
+      // those workers would wait at their barriers for a SYNC that never
+      // comes (and the manager's destructor with them), and close the run
+      // so the next one starts clean.
+      mgr_.nosync_children(mgr_.root());
+      mgr_.end_run();
+      throw;
+    }
     // Joins and discards are synchronous handshakes, so a conforming run
     // ends with no live speculation; the bounded drain below only covers
     // protocol violations (a fork the user never joined) so they surface

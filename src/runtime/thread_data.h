@@ -64,7 +64,7 @@ struct ThreadData {
   // Rollback injection (paper Fig. 11): decided once per speculation.
   bool inject_rollback = false;
 
-  // Opaque caller payload (e.g. the starting chunk of a loop-chain link),
+  // Opaque caller payload (e.g. the index of a spec_for piece),
   // readable by the joiner at synchronization time so adopted children can
   // be re-executed after a rollback.
   uint64_t user_tag = 0;

@@ -206,8 +206,9 @@ class ThreadManager {
                          FunctionRef<void(ThreadData&)> on_settled = {});
 
   // Aborts the remaining subtree of `td` down to `keep` children (used when
-  // a speculative task unwinds without joining its children, and for
-  // in-order chain cascades: cascading rollback stays within the subtree).
+  // a speculative task unwinds without joining its children — cascading
+  // rollback stays within the subtree — and when an exception abandons a
+  // loop or a run whose speculations are still live).
   // Blocks until every discarded speculation has settled: on return none of
   // the discarded tasks is still executing, so closures capturing the
   // caller's stack frame are safe to destroy.

@@ -3,7 +3,7 @@
 // through a mutls::par::pipeline of the three stages a cache front-end
 // runs per request — parse (zero-copy head parse), route/lookup (route
 // match + GET index probe), index update (PUT insert/evict) — speculating
-// ahead across request chunks with the in-order chain. The cache index is
+// ahead across request chunks with spec_for's schedule. The cache index is
 // the shared state: concurrent handlers conflict through the buffer map
 // exactly where a real cache's handlers would contend, so key skew and
 // PUT ratio translate directly into doom/rollback rate.

@@ -1,6 +1,6 @@
 // Coverage for the low-level primitives (memory helpers, relaxed scalar
 // access, enums) and protocol edge cases (detached forks + adoption via
-// join_next, user tags, merge-induced dooms).
+// join_next, user tags, the copies a fork keeps, merge-induced dooms).
 #include <gtest/gtest.h>
 
 #include "mutls/mutls.h"
@@ -156,32 +156,64 @@ TEST(AdoptionProtocol, RolledBackLinkReportsItsTag) {
   EXPECT_EQ(out[0], 5u);
 }
 
-// --- spec_for rollback cascade across the chain ---------------------------
+// --- detached forks keep no re-execution copy ------------------------------
 
-TEST(AdoptionProtocol, SpecForSurvivesMidChainRollback) {
-  // Probability 0.4 with a fixed seed rolls back some links but not all;
-  // the cascade plus re-execution must still produce exact results.
-  for (uint64_t seed : {11u, 22u, 33u}) {
-    Runtime::Options o;
-    o.num_cpus = 2;
-    o.buffer_log2 = 12;
-    o.rollback_probability = 0.4;
-    o.seed = seed;
-    Runtime rt(o);
-    SharedArray<uint64_t> slot(rt, 32, 0);
-    rt.run([&](Ctx& ctx) {
-      spec_for(rt, ctx, 0, 320, 32, ForkModel::kInOrder,
-               [&](Ctx& c, int chunk, int64_t lo, int64_t hi) {
-                 uint64_t s = 0;
-                 for (int64_t i = lo; i < hi; ++i) {
-                   s += static_cast<uint64_t>(i) * 7;
-                 }
-                 c.store(&slot[static_cast<size_t>(chunk)], s);
-               });
-    });
-    uint64_t total = 0;
-    for (size_t i = 0; i < slot.size(); ++i) total += slot[i];
-    EXPECT_EQ(total, 7u * (319u * 320u / 2)) << "seed " << seed;
+// Counts its copies; moves are free.
+struct CopyCountingBody {
+  static inline int copies = 0;
+  CopyCountingBody() = default;
+  CopyCountingBody(const CopyCountingBody&) { ++copies; }
+  CopyCountingBody(CopyCountingBody&&) noexcept = default;
+  void operator()(Ctx&) const {}
+};
+
+TEST(AdoptionProtocol, DetachedForkKeepsNoReexecutionCopy) {
+  Runtime rt({.num_cpus = 1, .buffer_log2 = 8});
+  rt.run([&](Ctx& ctx) {
+    CopyCountingBody::copies = 0;
+    Spec d = rt.fork(ctx, ForkOpts{.detached = true}, CopyCountingBody{});
+    EXPECT_EQ(CopyCountingBody::copies, 0)
+        << "a detached handle never runs the region, so keeps no copy";
+    if (d.speculated()) rt.join_next(ctx);
+
+    CopyCountingBody::copies = 0;
+    Spec s = rt.fork(ctx, ForkOpts{}, CopyCountingBody{});
+    EXPECT_EQ(CopyCountingBody::copies, 1)
+        << "a joinable handle keeps one copy for inline re-execution";
+    rt.join(ctx, s);
+  });
+}
+
+// --- spec_for: rolled-back pieces re-run on the caller ---------------------
+
+TEST(AdoptionProtocol, SpecForRerunsRolledBackPiecesExactly) {
+  // Probability 0.4 with a fixed seed rolls back some pieces but not all;
+  // re-running each failed piece on the caller must still produce exact
+  // results, with one piece speculating (in-order) or all of them (mixed).
+  for (ForkModel m : {ForkModel::kInOrder, ForkModel::kMixed}) {
+    for (uint64_t seed : {11u, 22u, 33u}) {
+      Runtime::Options o;
+      o.num_cpus = 2;
+      o.buffer_log2 = 12;
+      o.rollback_probability = 0.4;
+      o.seed = seed;
+      Runtime rt(o);
+      SharedArray<uint64_t> slot(rt, 32, 0);
+      rt.run([&](Ctx& ctx) {
+        spec_for(rt, ctx, 0, 320, 32, m,
+                 [&](Ctx& c, int chunk, int64_t lo, int64_t hi) {
+                   uint64_t s = 0;
+                   for (int64_t i = lo; i < hi; ++i) {
+                     s += static_cast<uint64_t>(i) * 7;
+                   }
+                   c.store(&slot[static_cast<size_t>(chunk)], s);
+                 });
+      });
+      uint64_t total = 0;
+      for (size_t i = 0; i < slot.size(); ++i) total += slot[i];
+      EXPECT_EQ(total, 7u * (319u * 320u / 2))
+          << fork_model_name(m) << " seed " << seed;
+    }
   }
 }
 

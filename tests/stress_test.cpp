@@ -231,7 +231,7 @@ TEST(GrowableLogUnderSpeculation, NestedMergeIntoGrowingJoiner) {
 
 // --- nested loop driver ---------------------------------------------------
 
-TEST(SpecForNested, MatchesAdoptionDriverResults) {
+TEST(SpecForNested, MatchesSpecForResults) {
   for (ForkModel m : {ForkModel::kInOrder, ForkModel::kMixed}) {
     Runtime rt({.num_cpus = 2, .buffer_log2 = 12});
     SharedArray<uint64_t> a(rt, 16, 0), b(rt, 16, 0);

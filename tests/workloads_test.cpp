@@ -186,7 +186,7 @@ TEST(WorkloadChaos, InjectedRollbacksPreserveResults) {
 }
 
 // The serving pipeline must keep the cache index bit-identical to the
-// sequential run even when rollbacks are injected into its chain.
+// sequential run even when rollbacks are injected into its pieces.
 TEST(WorkloadChaos, ServingInjectedRollbacksPreserveIndex) {
   HttpServing::Params p;
   p.batches = 4;
