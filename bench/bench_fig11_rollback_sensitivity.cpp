@@ -94,7 +94,6 @@ bool run_cell(BufferBackend backend, int pct, bool predict, uint64_t epochs,
   o.buffer_log2 = 10;
   o.buffer_backend = backend;
   o.predict_enabled = predict;
-  o.predict_confidence_threshold = 2;
   Runtime rt(o);
   SharedArray<uint64_t> hot(rt, 1, kHotInit);
   SharedArray<uint64_t> cold(rt, kColdWords, 0);

@@ -76,12 +76,11 @@ struct CellOut {
 // failed to register.
 bool run_cell(const Kernel& k, exec::DispatchMode mode, BufferBackend backend,
               const Args& args, CellOut* out) {
-  Interpreter::Options o;
+  ManagerConfig o;
   o.num_cpus = args.cpus;
   o.buffer_log2 = 14;
   o.buffer_backend = backend;
-  o.dispatch_mode = mode;
-  Interpreter it(ir::parse_module(k.ir), o);
+  Interpreter it(ir::parse_module(k.ir), o, mode);
   int registered = exec::kernels::register_native_kernels(
       [&](const std::string& f, const std::string& h, exec::CompiledFn b) {
         return it.register_compiled_region(f, h, b);

@@ -92,10 +92,10 @@ int main(int argc, char** argv) {
               ir::print_function(*pr.module.find_function("work")).c_str());
 
   // --- the runtime behaviour ---
-  interp::Interpreter::Options o;
+  ManagerConfig o;
   o.num_cpus = 2;
-  o.dispatch_mode = mode;
-  interp::Interpreter it(ir::parse_module(kProgram), o);
+  o.buffer_log2 = 14;
+  interp::Interpreter it(ir::parse_module(kProgram), o, mode);
   std::printf("dispatch mode: %s\n", exec::dispatch_mode_name(mode));
   uint64_t r = it.call("work", {100});
   auto* flags = static_cast<int64_t*>(it.global_addr("flags"));

@@ -3,13 +3,13 @@
 //
 // Two levels live here:
 //
-//  * the raw loop drivers `spec_for` / `spec_for_nested` — the paper's
-//    loop-speculation patterns (section II) expressed directly on
-//    fork/join, kept public for ablation and for nesting inside other
-//    speculated regions;
+//  * the raw loop driver `spec_for` — the paper's loop-speculation pattern
+//    (section II) expressed directly on fork/join. It also runs nested
+//    inside a speculated region, where the caller's prefix is itself
+//    speculative and the pieces are forked by a speculative thread;
 //  * `mutls::par` — `for_each`, `reduce`, `divide_and_conquer`, `pipeline`:
 //    one-liner entry points for the paper's three program shapes (loop,
-//    divide and conquer, depth-first/staged work), built on the drivers and
+//    divide and conquer, depth-first/staged work), built on the driver and
 //    the tree-form fork so a new scenario needs no protocol code at all.
 //
 // `spec_for` puts the calling thread to work. It runs a prefix of the
@@ -38,41 +38,6 @@
 #include "support/timing.h"
 
 namespace mutls {
-
-// Nested in-order loop driver: each chain link runs one chunk and joins the
-// speculated remainder itself. Simple, but a link whose fork was denied
-// executes the whole remaining range inline while earlier links wait at
-// their barriers — parallelism collapses when chunks exceed CPUs. Kept for
-// comparison (ablation) and for nesting inside other speculated regions.
-// The body receives (ctx, chunk_index, lo, hi).
-template <typename BodyFn>
-void spec_for_nested(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end,
-                     int chunks, ForkModel model, const BodyFn& body) {
-  if (begin >= end || chunks <= 0) return;
-  struct Driver {
-    Runtime& rt;
-    int64_t begin, end;
-    int chunks;
-    ForkModel model;
-    const BodyFn& body;
-
-    int64_t bound(int i) const {
-      return begin + (end - begin) * i / chunks;
-    }
-
-    void run(Ctx& c, int i) const {
-      if (i + 1 >= chunks) {
-        body(c, i, bound(i), bound(i + 1));
-        return;
-      }
-      Spec s = rt.fork(c, model, [this, i](Ctx& cc) { run(cc, i + 1); });
-      body(c, i, bound(i), bound(i + 1));
-      rt.join(c, s);
-    }
-  };
-  Driver d{rt, begin, end, chunks, model, body};
-  d.run(ctx, 0);
-}
 
 namespace detail {
 
@@ -180,11 +145,10 @@ class LoopBalance {
 // call in which all pieces committed; a rollback or a denied fork leaves
 // them alone.
 //
-// Fork models: under kInOrder (the argument or the Runtime's
-// model_override) the non-speculative thread may fork only while nothing
-// else is live, so the farthest piece speculates and the caller runs every
-// other chunk itself. Results stay exact under every model; only the
-// overlap differs.
+// Fork models: under kInOrder the non-speculative thread may fork only
+// while nothing else is live, so the farthest piece speculates and the
+// caller runs every other chunk itself. Results stay exact under every
+// model; only the overlap differs.
 //
 // Fork-to-settle latency sampling (the serving bench's percentile source):
 // pass a histogram plus a scratch array of at least `chunks` entries. The
@@ -281,20 +245,15 @@ struct LoopOpts {
 
   ForkModel model = ForkModel::kMixed;
 
-  // Use the nested chain driver instead of spec_for (ablation, or when the
-  // loop itself runs inside a deeply speculated region).
-  bool nested = false;
-
   // When > 0, poll Ctx::check_point every this many elements inside a
-  // chunk (element-wise algorithms only); the drivers always poll at chunk
+  // chunk (element-wise algorithms only); spec_for always polls at chunk
   // boundaries.
   int64_t checkpoint_every = 0;
 
-  // Fork-to-settle latency sampling (spec_for only; the nested driver
-  // ignores it). Both must be set together: the histogram receives one
-  // sample per granted piece, stamped through the scratch array, which
-  // needs capacity for `chunks` entries and whose contents are meaningless
-  // between calls.
+  // Fork-to-settle latency sampling. Both must be set together: the
+  // histogram receives one sample per granted piece, stamped through the
+  // scratch array, which needs capacity for `chunks` entries and whose
+  // contents are meaningless between calls.
   LatencyHistogram* fork_latency = nullptr;
   uint64_t* fork_ns_scratch = nullptr;
 };
@@ -308,13 +267,8 @@ inline int resolve_chunks(const Runtime& rt, const LoopOpts& opts) {
 template <typename BodyFn>
 void for_each_chunk(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end,
                     const LoopOpts& opts, const BodyFn& body) {
-  int chunks = resolve_chunks(rt, opts);
-  if (opts.nested) {
-    spec_for_nested(rt, ctx, begin, end, chunks, opts.model, body);
-  } else {
-    spec_for(rt, ctx, begin, end, chunks, opts.model, body,
-             opts.fork_latency, opts.fork_ns_scratch);
-  }
+  spec_for(rt, ctx, begin, end, resolve_chunks(rt, opts), opts.model, body,
+           opts.fork_latency, opts.fork_ns_scratch);
 }
 
 // Element-wise parallel loop: body(ctx, i) for every i in [begin, end).

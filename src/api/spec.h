@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -185,44 +184,12 @@ class ScopedSpec;
 
 class Runtime {
  public:
-  struct Options {
-    int num_cpus = 4;
-    int buffer_log2 = 16;
-    size_t overflow_cap = 4096;
-    // Speculative-buffer backend (see "Choosing a buffer backend" in the
-    // README): kStaticHash dooms the speculation on overflow pressure,
-    // kGrowableLog resizes instead.
-    BufferBackend buffer_backend = BufferBackend::kStaticHash;
-    // Value prediction (see "Value prediction" in the README): when
-    // enabled, each virtual-CPU slot trains a last-value/stride predictor
-    // on conflicting read-set words and lets confident first-touch reads
-    // adopt the predicted settled value — turning would-be rollbacks on
-    // conflict-heavy workloads into validated commits (saved_rollbacks);
-    // mispredicts doom through the ordinary rollback path.
-    bool predict_enabled = false;
-    uint32_t predict_confidence_threshold = 2;
-    uint64_t predict_stride_window = 1u << 16;
-    int predict_table_log2 = 8;
-    int register_slots = 256;
-    double rollback_probability = 0.0;
-    uint64_t seed = 0x5eed;
-    std::optional<ForkModel> model_override;
-    // Worker handoff spin budget; 0 calibrates a machine-appropriate value
-    // per NUMA node at first manager construction (see ManagerConfig).
-    int handoff_spin_budget = 0;
-    // NUMA shape (see "NUMA-aware scaling" in the README): 0 probes the
-    // machine topology (sysfs, single-node fallback); a positive value
-    // fakes that many nodes — per-node idle freelists and same-node-first
-    // child placement derive from it.
-    int numa_nodes = 0;
-    // How long run() waits for a protocol violation (a fork the user never
-    // joined) to drain before CHECK-failing instead of hanging.
-    uint64_t missing_join_timeout_ns = 5'000'000'000ull;
-  };
+  // The runtime's knobs are declared once, as ManagerConfig
+  // ("runtime/thread_manager.h"); a Runtime is configured with exactly
+  // what its ThreadManager runs with.
+  using Options = ManagerConfig;
 
-  explicit Runtime(const Options& opt)
-      : mgr_(manager_config_from(opt, opt.register_slots)),
-        missing_join_timeout_ns_(opt.missing_join_timeout_ns) {}
+  explicit Runtime(const Options& opt) : mgr_(opt) {}
 
   // __builtin_MUTLS_fork: attempts to speculate `body` (the code that
   // follows the matching join point). Returns a handle; when speculation is
@@ -241,6 +208,11 @@ class Runtime {
       MUTLS_CHECK(p.size > 0 && p.size <= sizeof(uint64_t),
                   "Prediction.size must be 1..8 bytes");
     }
+    // Prediction i lands in the child's RegisterBuffer slot i; one past
+    // the last slot would be dropped while join() still validated it.
+    MUTLS_CHECK(
+        opts.predictions.size() <= static_cast<size_t>(kRegisterSlots),
+        "more live-in predictions than RegisterBuffer slots");
     static_assert(std::is_copy_constructible_v<std::decay_t<F>>,
                   "fork bodies must be copyable: the joiner keeps a copy "
                   "for inline re-execution on rollback");
@@ -402,7 +374,7 @@ class Runtime {
     // ends with no live speculation; the bounded drain below only covers
     // protocol violations (a fork the user never joined) so they surface
     // as a CHECK instead of a hang.
-    uint64_t deadline = now_ns() + missing_join_timeout_ns_;
+    uint64_t deadline = now_ns() + mgr_.config().missing_join_timeout_ns;
     while (mgr_.live_threads() != 0 && now_ns() < deadline) {
       std::this_thread::yield();
     }
@@ -425,7 +397,6 @@ class Runtime {
   friend class Ctx;
 
   ThreadManager mgr_;
-  uint64_t missing_join_timeout_ns_;
 };
 
 inline Ctx::Ctx(Runtime& rt, ThreadData& td)

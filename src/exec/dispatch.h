@@ -44,7 +44,8 @@ namespace mutls::exec {
 // original per-op switch loop, retained as the semantic oracle and
 // fallback; kDirectThreaded is the handler-table dispatcher;
 // kCompiledRegion additionally transfers control to registered native
-// region bodies (see exec/compiled_region.h).
+// region bodies (see exec/compiled_region.h). The interpreter takes the
+// mode as a constructor argument, next to its ManagerConfig.
 enum class DispatchMode : uint8_t {
   kSwitch = 0,
   kDirectThreaded = 1,
@@ -58,20 +59,6 @@ inline const char* dispatch_mode_name(DispatchMode m) {
     case DispatchMode::kCompiledRegion: return "compiled-region";
   }
   return "?";
-}
-
-// Engine knobs of an embedding's options struct, mapped through
-// engine_config_from below (the manager_config_from discipline: one
-// mapping, next to the config it produces).
-struct EngineConfig {
-  DispatchMode dispatch_mode = DispatchMode::kDirectThreaded;
-};
-
-template <typename Opts>
-EngineConfig engine_config_from(const Opts& opt) {
-  EngineConfig c;
-  c.dispatch_mode = opt.dispatch_mode;
-  return c;
 }
 
 struct ExecState;

@@ -50,10 +50,9 @@ uint32_t skip_phis(const Block& b) {
 
 }  // namespace
 
-Interpreter::Interpreter(Module module, const Options& opt)
-    : module_(std::move(module)),
-      mgr_(manager_config_from(opt, /*register_slots=*/64)),
-      engine_(exec::engine_config_from(opt)) {
+Interpreter::Interpreter(Module module, const ManagerConfig& config,
+                         exec::DispatchMode mode)
+    : module_(std::move(module)), mgr_(config), dispatch_mode_(mode) {
   for (const Global& g : module_.globals) {
     size_t bytes = type_size(g.elem_type) * g.count;
     bytes = (bytes + 7) & ~size_t{7};
@@ -230,7 +229,7 @@ uint64_t Interpreter::host_external(exec::ExecState& st, const Instr& in) {
 
 uint64_t Interpreter::exec_any(ThreadData& td, Frame& fr, uint32_t block,
                                uint32_t instr, StopState* stop) {
-  if (engine_.dispatch_mode == exec::DispatchMode::kSwitch) {
+  if (dispatch_mode_ == exec::DispatchMode::kSwitch) {
     return exec_switch(td, fr, block, instr, stop);
   }
   const exec::DecodedFunction& df = decoded_->decoded(*fr.fn);
@@ -246,8 +245,7 @@ uint64_t Interpreter::exec_any(ThreadData& td, Frame& fr, uint32_t block,
   st.ip = df.flat_ip(block, instr);
   st.prev_block = block;
   st.track = fr.speculative_entry;
-  st.use_compiled =
-      engine_.dispatch_mode == exec::DispatchMode::kCompiledRegion;
+  st.use_compiled = dispatch_mode_ == exec::DispatchMode::kCompiledRegion;
   return exec::run(st);
 }
 

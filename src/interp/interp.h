@@ -33,7 +33,9 @@
 // retained as the semantic oracle (DispatchMode::kSwitch); all tiers share
 // Frame/StopState and the speculative memory path (exec/mem_ops.h), so a
 // child stopped under one tier is resumed correctly by a joiner running
-// another.
+// another. The tier is a constructor argument; every runtime knob comes
+// from the ManagerConfig beside it, the struct the native embedding's
+// Runtime::Options also names.
 //
 // Restrictions relative to the paper (documented in DESIGN.md): stop
 // positions are taken only in the speculative entry frame, so the
@@ -58,37 +60,11 @@ namespace mutls::interp {
 
 class Interpreter final : private exec::ExecHost {
  public:
-  struct Options {
-    int num_cpus = 4;
-    int buffer_log2 = 14;
-    size_t overflow_cap = 4096;
-    // Speculative-buffer backend of every virtual CPU (SpecBuffer API).
-    BufferBackend buffer_backend = BufferBackend::kStaticHash;
-    // Value-prediction knobs (ManagerConfig::predict_* /
-    // SpecBuffer::PredictPolicy): off by default; see the README's
-    // "Value prediction" section.
-    bool predict_enabled = false;
-    uint32_t predict_confidence_threshold = 2;
-    uint64_t predict_stride_window = 1u << 16;
-    int predict_table_log2 = 8;
-    double rollback_probability = 0.0;
-    uint64_t seed = 0x5eed;
-    std::optional<ForkModel> model_override;
-    // Worker handoff spin budget; 0 calibrates per NUMA node at first
-    // manager construction (see ManagerConfig::handoff_spin_budget).
-    int handoff_spin_budget = 0;
-    // NUMA shape (ManagerConfig::numa_nodes): 0 probes the machine
-    // topology; a positive value fakes that many nodes for the per-node
-    // freelists.
-    int numa_nodes = 0;
-    // Execution-engine dispatch tier (exec/dispatch.h). kDirectThreaded is
-    // the default; kSwitch is the original per-op loop kept as the
-    // semantic oracle and fallback; kCompiledRegion additionally runs
-    // native bodies registered via register_compiled_region.
-    exec::DispatchMode dispatch_mode = exec::DispatchMode::kDirectThreaded;
-  };
-
-  Interpreter(ir::Module module, const Options& opt);
+  // `mode` picks the dispatch tier (exec/dispatch.h); kCompiledRegion
+  // additionally runs native bodies registered via
+  // register_compiled_region.
+  Interpreter(ir::Module module, const ManagerConfig& config,
+              exec::DispatchMode mode = exec::DispatchMode::kDirectThreaded);
   ~Interpreter();
 
   Interpreter(const Interpreter&) = delete;
@@ -165,7 +141,7 @@ class Interpreter final : private exec::ExecHost {
   ir::Module module_;
   ThreadManager mgr_;
   std::unordered_map<std::string, std::unique_ptr<char[]>> globals_;
-  exec::EngineConfig engine_;
+  exec::DispatchMode dispatch_mode_;
   // Built at construction, after globals are allocated (addresses resolve
   // at decode). Immutable but for the per-region atomics; shared by every
   // thread and every dispatch tier (the switch oracle reads its

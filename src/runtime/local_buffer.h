@@ -20,6 +20,10 @@
 
 namespace mutls {
 
+// RegisterBuffer slots per frame (paper IV-G3): the live-in values one
+// fork can carry (Runtime::fork CHECKs its prediction count against it).
+inline constexpr int kRegisterSlots = 256;
+
 // Fixed-capacity array of 64-bit register slots. Exceeding the capacity is
 // a compile-time error in the paper ("the speculator pass reports an error
 // and speculation fails"); here set/get report failure to the caller.
@@ -101,18 +105,9 @@ struct LocalFrame {
 // runtime's zero-allocation steady-state invariant.
 class LocalBuffer {
  public:
-  void init(int register_slots) {
-    register_slots_ = register_slots;
-    // A changed slot count invalidates retired frames' register arrays;
-    // drop them and rebuild the entry frame.
-    frames_.clear();
-    depth_ = 0;
-    push_frame(0, -1);
-  }
-
-  // Re-arms for a new speculation: recycles the entry frame in place
-  // (registers zeroed, stack copies dropped) instead of destroying and
-  // re-allocating it.
+  // Arms the entry frame for a new speculation. The first call allocates
+  // it; later calls recycle it in place (registers zeroed, stack copies
+  // dropped) instead of destroying and re-allocating it.
   void reset() {
     depth_ = 0;
     push_frame(0, -1);
@@ -123,7 +118,7 @@ class LocalBuffer {
   LocalFrame& push_frame(int entry_counter, int function_id) {
     if (depth_ == frames_.size()) frames_.emplace_back();
     LocalFrame& f = frames_[depth_++];
-    f.regs.init(register_slots_);  // zero in place; allocates only once
+    f.regs.init(kRegisterSlots);  // zero in place; allocates only once
     f.stack.clear();
     f.entry_counter = entry_counter;
     f.function_id = function_id;
@@ -159,7 +154,6 @@ class LocalBuffer {
  private:
   std::vector<LocalFrame> frames_;  // live [0, depth_), retired past depth_
   size_t depth_ = 0;
-  int register_slots_ = 256;
 };
 
 }  // namespace mutls

@@ -123,7 +123,7 @@ ThreadManager::ThreadManager(const ManagerConfig& config) : config_(config) {
             : node_budget_[0];
   }
   root_.rank = 0;
-  root_.lbuf.init(config_.register_slots);
+  root_.lbuf.reset();
   // A children stack never holds more than num_cpus live refs (each live
   // speculation occupies one slot and sits on exactly one stack), so one
   // up-front reservation makes every push_back — including adoption at
@@ -137,12 +137,13 @@ ThreadManager::ThreadManager(const ManagerConfig& config) : config_(config) {
     c.data.sbuf.init(config_.buffer_backend, config_.buffer_log2,
                      config_.overflow_cap, GrowableSet::kMaxLog2,
                      &c.data.arena,
-                     SpecBuffer::PredictPolicy{
-                         config_.predict_enabled,
-                         config_.predict_confidence_threshold,
-                         config_.predict_stride_window,
-                         config_.predict_table_log2});
-    c.data.lbuf.init(config_.register_slots);
+                     SpecPredictPolicy{.enabled = config_.predict_enabled});
+    // The entry frame is allocated after the buffer tables: a small block
+    // above them keeps glibc from trimming the freed tables off the heap
+    // top when a Runtime is destroyed, so the next Runtime reuses them.
+    // Allocated before them, constructing bh's Runtime (buffer_log2 17,
+    // 3 CPUs) took 9.9 instead of 2.2 ms on a 4-vCPU host.
+    c.data.lbuf.reset();
     c.data.children.reserve(static_cast<size_t>(config_.num_cpus));
   }
   // Seed the idle freelist in reverse so the first claims pop rank 1, 2, …
@@ -230,7 +231,7 @@ void ThreadManager::push_idle(int rank) {
 
 bool ThreadManager::admission_allows(const ThreadData& td,
                                      ForkModel model) const {
-  switch (config_.model_override.value_or(model)) {
+  switch (model) {
     case ForkModel::kMixed:
       return true;
     case ForkModel::kOutOfOrder:
@@ -244,8 +245,7 @@ bool ThreadManager::admission_allows(const ThreadData& td,
 }
 
 int ThreadManager::admit_and_claim(ThreadData& forker, ForkModel model) {
-  ForkModel m = config_.model_override.value_or(model);
-  if (m == ForkModel::kInOrder) {
+  if (model == ForkModel::kInOrder) {
     // In-order admission must check-then-claim atomically against other
     // in-order forks (two links of the chain must not both win), so it
     // keeps the lock.
@@ -256,7 +256,7 @@ int ThreadManager::admit_and_claim(ThreadData& forker, ForkModel model) {
          forker.rank == most_speculative_rank_.load(std::memory_order_relaxed));
     return ok ? claim_cpu(forker) : 0;
   }
-  if (m == ForkModel::kMixed || forker.rank == 0) {
+  if (model == ForkModel::kMixed || forker.rank == 0) {
     // kMixed admits everyone and kOutOfOrder admits the non-speculative
     // thread: no shared policy state to consult, so the claim is one CAS
     // on the idle freelist — no mutex on the fast path.
@@ -513,10 +513,9 @@ void ThreadManager::wait_discarded(const ChildRef& ref) {
   // never settle (blocked forever without a check point) into a
   // diagnosable protocol violation instead of a silent hang.
   Cpu& cc = cpu(ref.rank);
-  uint64_t timeout = config_.discard_settle_timeout_ns;
-  uint64_t deadline = now_ns() + timeout;
+  const uint64_t deadline = now_ns() + kDiscardSettleTimeoutNs;
   spin_until([&] {
-    MUTLS_CHECK(timeout == 0 || now_ns() < deadline,
+    MUTLS_CHECK(now_ns() < deadline,
                 "discarded speculative task failed to settle "
                 "(task blocked without a check point?)");
     return cc.settled_epoch.load(std::memory_order_acquire) >= ref.epoch;

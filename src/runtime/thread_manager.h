@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -26,6 +25,11 @@
 
 namespace mutls {
 
+// The runtime's knobs, declared once: `Runtime::Options` is this struct,
+// and the IR interpreter takes it as its constructor argument, so both
+// embeddings (paper IV-B) configure the same ThreadManager the same way.
+// Every field has a default; a designated initializer names only the
+// fields it changes.
 struct ManagerConfig {
   // Number of virtual CPUs available for speculative threads (the paper's
   // rank range 1..N). The non-speculative thread is extra.
@@ -40,42 +44,26 @@ struct ManagerConfig {
   size_t overflow_cap = 4096;
 
   // Speculative-buffer backend for every virtual CPU (see BufferBackend in
-  // "runtime/enums.h"): the paper's static hash with overflow-doom, or the
-  // growable log that resizes under capacity pressure.
+  // "runtime/enums.h" and "Choosing a buffer backend" in the README): the
+  // paper's static hash with overflow-doom, or the growable log that
+  // resizes under capacity pressure.
   BufferBackend buffer_backend = BufferBackend::kStaticHash;
 
-  // Value-prediction knobs (any backend; see SpecBuffer::PredictPolicy
-  // in "runtime/value_predictor.h"). Off by default: speculative reads
-  // observe memory and every conflict rolls back, exactly as before.
-  // Enabled, a per-slot last-value/stride predictor — trained at settle
-  // from the final values of conflicting read-set words — lets confident
-  // first-touch reads adopt the predicted settled value, turning a
-  // would-be rollback into a validated commit (counted as
-  // saved_rollbacks); mispredicts ride the ordinary doom path.
+  // Value prediction (see "Value prediction" in the README). Off by
+  // default: speculative reads observe memory and every conflict rolls
+  // back. Enabled, a per-slot last-value/stride predictor — trained at
+  // settle from the final values of conflicting read-set words — lets
+  // confident first-touch reads adopt the predicted settled value, turning
+  // a would-be rollback into a validated commit (counted as
+  // saved_rollbacks); mispredicts ride the ordinary doom path. The table
+  // shape and confidence threshold are SpecPredictPolicy's defaults.
   bool predict_enabled = false;
-  uint32_t predict_confidence_threshold = 2;
-  uint64_t predict_stride_window = 1u << 16;
-  int predict_table_log2 = 8;
-
-  // RegisterBuffer slots per frame (paper IV-G3).
-  int register_slots = 256;
 
   // Rollback injection probability per speculative thread (paper Fig. 11).
   double rollback_probability = 0.0;
 
   // Seed for deterministic injection decisions.
   uint64_t seed = 0x5eed;
-
-  // When set, overrides the model of every fork point (paper Fig. 10
-  // compares in-order / out-of-order / mixed this way).
-  std::optional<ForkModel> model_override;
-
-  // How long a discard handshake waits for the discarded task (and its
-  // subtree) to settle before declaring a protocol violation. Tasks are
-  // expected to reach a check point or barrier well within this window;
-  // raise it for workloads with genuinely long check-point-free stretches.
-  // 0 waits forever.
-  uint64_t discard_settle_timeout_ns = 30'000'000'000ull;
 
   // Iterations a worker spins on the handoff flag before parking on its
   // condvar. 0 (the default) calibrates at first manager construction: a
@@ -94,31 +82,11 @@ struct ManagerConfig {
   // positive value fakes that many nodes, which is how tests exercise the
   // per-node freelists on a single-node box.
   int numa_nodes = 0;
-};
 
-// The one mapping from an embedding's options struct (Runtime::Options,
-// interp::Interpreter::Options, ...) to a ManagerConfig. Kept here, next
-// to ManagerConfig, so a new common field is threaded through exactly one
-// place instead of drifting across per-embedding copies.
-template <typename Opts>
-ManagerConfig manager_config_from(const Opts& opt, int register_slots) {
-  ManagerConfig c;
-  c.num_cpus = opt.num_cpus;
-  c.buffer_log2 = opt.buffer_log2;
-  c.overflow_cap = opt.overflow_cap;
-  c.buffer_backend = opt.buffer_backend;
-  c.predict_enabled = opt.predict_enabled;
-  c.predict_confidence_threshold = opt.predict_confidence_threshold;
-  c.predict_stride_window = opt.predict_stride_window;
-  c.predict_table_log2 = opt.predict_table_log2;
-  c.register_slots = register_slots;
-  c.rollback_probability = opt.rollback_probability;
-  c.seed = opt.seed;
-  c.model_override = opt.model_override;
-  c.handoff_spin_budget = opt.handoff_spin_budget;
-  c.numa_nodes = opt.numa_nodes;
-  return c;
-}
+  // How long Runtime::run waits for a protocol violation (a fork the user
+  // never joined) to drain before CHECK-failing instead of hanging.
+  uint64_t missing_join_timeout_ns = 5'000'000'000ull;
+};
 
 // The handoff spin budget a manager with this config will run with: the
 // explicit value, or the memoized calibration probe's (see
@@ -138,6 +106,11 @@ class ThreadManager {
   // spill past that — never the global heap after warm-up (the
   // zero-allocation steady-state invariant).
   using Task = InlineTask<void(ThreadData&)>;
+
+  // How long a discard handshake waits for the discarded task (and its
+  // subtree) to settle before declaring a protocol violation. Tasks are
+  // expected to reach a check point or barrier well within this window.
+  static constexpr uint64_t kDiscardSettleTimeoutNs = 30'000'000'000ull;
 
   explicit ThreadManager(const ManagerConfig& config);
   ~ThreadManager();

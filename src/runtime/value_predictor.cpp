@@ -22,7 +22,7 @@ void ValuePredictor::init(const SpecPredictPolicy& policy, Arena* arena) {
   arena_ = arena;
   if (!policy_.enabled) return;
   MUTLS_CHECK(policy_.table_log2 >= 0 && policy_.table_log2 <= 20,
-              "predict_table_log2 out of range");
+              "predictor table_log2 out of range");
   MUTLS_CHECK(policy_.confidence_threshold >= 1,
               "predict confidence threshold must be >= 1");
   size_t n = size_t{1} << policy_.table_log2;

@@ -40,11 +40,13 @@
 
 namespace mutls {
 
-// The value-prediction knobs. Surfaced as the predict_* fields of
-// ManagerConfig / Runtime::Options / interp Options and handed to
-// SpecBuffer::init as SpecBuffer::PredictPolicy. (Namespace-scope rather
-// than nested: it appears as a default argument of SpecBuffer::init, where
-// a nested type's member initializers would not be parsed yet.)
+// The value-prediction policy, handed to SpecBuffer::init as
+// SpecBuffer::PredictPolicy. The runtime sets only `enabled` (from
+// ManagerConfig::predict_enabled); the threshold, stride window and table
+// size are the defaults below, which the predictor and model-harness unit
+// tests vary directly. (Namespace-scope rather than nested: it appears as
+// a default argument of SpecBuffer::init, where a nested type's member
+// initializers would not be parsed yet.)
 struct SpecPredictPolicy {
   // Master switch. Disabled, the predictor allocates nothing and the
   // access/validation hot paths pay one predicted-not-taken branch.

@@ -101,12 +101,7 @@ BatchCounters Server::serve_batch(Ctx& ctx, const RequestBatch& batch,
   MUTLS_CHECK(batch.count() <= max_batch_, "batch exceeds the server bound");
   batch_ = &batch;
   epoch_ = epoch;
-  par::LoopOpts lo;
-  lo.chunks = opts.chunks;
-  lo.model = opts.model;
-  lo.fork_latency = opts.fork_latency;
-  lo.fork_ns_scratch = opts.fork_ns_scratch;
-  par::pipeline(rt_, ctx, static_cast<int64_t>(batch.count()), stages_, lo);
+  par::pipeline(rt_, ctx, static_cast<int64_t>(batch.count()), stages_, opts);
   // Every chunk is joined: the outcome words are committed plain memory.
   return fold(outcomes_.data(), batch.count());
 }

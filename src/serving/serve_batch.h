@@ -27,7 +27,6 @@
 #include "serving/http_parse.h"
 #include "serving/request_gen.h"
 #include "serving/route.h"
-#include "support/latency_histogram.h"
 
 namespace mutls::serving {
 
@@ -67,15 +66,10 @@ struct BatchCounters {
   bool operator==(const BatchCounters&) const = default;
 };
 
-struct ServeOpts {
-  // Pipeline chunking and fork model, passed through to par::pipeline.
-  int chunks = 0;
-  ForkModel model = ForkModel::kMixed;
-  // Fork-to-settle latency sampling (see par::LoopOpts): the scratch array
-  // needs capacity for the resolved chunk count.
-  LatencyHistogram* fork_latency = nullptr;
-  uint64_t* fork_ns_scratch = nullptr;
-};
+// A batch is served by par::pipeline, so its options are the loop's:
+// chunking, fork model and fork-to-settle latency sampling (the scratch
+// array needs capacity for the resolved chunk count).
+using ServeOpts = par::LoopOpts;
 
 class Server {
  public:

@@ -1,7 +1,8 @@
 // API misuse and lifetime coverage: double joins, join-after-move,
-// missing joins (the run-drain CHECK), detached-handle misuse, and the
-// ScopedSpec unwind path (exception between fork and join NOSYNCs the
-// speculation instead of executing or leaking it).
+// missing joins (the run-drain CHECK), detached-handle misuse, more live-in
+// predictions than register slots, and the ScopedSpec unwind path
+// (exception between fork and join NOSYNCs the speculation instead of
+// executing or leaking it).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -73,6 +74,27 @@ TEST_F(ApiMisuseDeathTest, DetachedForkWithPredictionsDies) {
         });
       },
       "detached forks cannot carry live-in predictions");
+}
+
+TEST_F(ApiMisuseDeathTest, MorePredictionsThanRegisterSlotsDies) {
+  EXPECT_DEATH(
+      {
+        Runtime rt(small_opts());
+        SharedArray<uint64_t> data(rt, 1, 0);
+        rt.run([&](Ctx& ctx) {
+          int64_t i = 0;
+          ForkOpts opts;
+          // Misuse: the last prediction has no RegisterBuffer slot, so the
+          // child would never see it while join() still validated it.
+          for (int k = 0; k <= kRegisterSlots; ++k) {
+            opts.predictions.push_back(Prediction::of<int64_t>(&i, 0));
+          }
+          Spec s = rt.fork(ctx, std::move(opts),
+                           [&](Ctx& c) { data.at(c, 0) = 1; });
+          rt.join(ctx, s);
+        });
+      },
+      "more live-in predictions than RegisterBuffer slots");
 }
 
 TEST_F(ApiMisuseDeathTest, ScopedJoinAfterMoveDies) {

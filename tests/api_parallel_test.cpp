@@ -58,12 +58,12 @@ TEST(ParForEach, DefaultChunkCountAndEmptyRange) {
   for (size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], 1u);
 }
 
-TEST(ParForEach, NestedDriverInsideSpeculatedRegion) {
+TEST(ParForEach, InsideSpeculatedRegion) {
   Runtime rt(small_opts(4));
   SharedArray<uint64_t> out(rt, 8, 0);
   rt.run([&](Ctx& ctx) {
     ScopedSpec s = rt.fork_scoped(ctx, ForkModel::kMixed, [&](Ctx& c) {
-      par::for_each(rt, c, 0, 8, {.chunks = 4, .nested = true},
+      par::for_each(rt, c, 0, 8, {.chunks = 4},
                     [&](Ctx& cc, int64_t i) {
                       out.span(cc)[static_cast<size_t>(i)] =
                           static_cast<uint64_t>(i + 100);
@@ -576,10 +576,8 @@ TEST(LoopSchedule, EdgeCasesStayExact) {
     // Under the in-order model the non-speculative thread forks only while
     // nothing else is live: the farthest piece speculates and the caller
     // runs every other chunk.
-    Runtime::Options o = small_opts(3);
-    o.model_override = ForkModel::kInOrder;
-    Runtime rt(o);
-    RunStats rs = checked_sum_loop(rt, 0, 1000, 12);
+    Runtime rt(small_opts(3));
+    RunStats rs = checked_sum_loop(rt, 0, 1000, 12, ForkModel::kInOrder);
     EXPECT_EQ(rs.critical.forks, 1u);
     EXPECT_EQ(rs.critical.fork_denied, 2u);
   }
@@ -628,6 +626,56 @@ TEST(LoopSchedule, SitesKeepSeparateRecordsAndStartCold) {
       EXPECT_EQ(segs[static_cast<size_t>(s)].hi, (s + 1) * kChunks / 3);
     }
   });
+}
+
+// --- a loop inside a speculated region, under injected rollback ------------
+//
+// spec_for run by a speculative thread: its prefix is speculative, its
+// pieces are the root's grandchildren, and a running sum makes every piece
+// read what the piece before it wrote. Injection dooms speculations at
+// both levels; the committed result must still be the sequential one.
+
+TEST(LoopInRegion, InjectedRollbackStaysExact) {
+  constexpr size_t kN = 240;
+  auto term = [](size_t i) { return static_cast<uint64_t>(i * i % 97); };
+  std::vector<uint64_t> want(kN);
+  uint64_t acc = 0;
+  for (size_t i = 0; i < kN; ++i) want[i] = acc += term(i);
+  for (double p : {0.5, 1.0}) {
+    for (uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
+      Runtime::Options o = small_opts(4);
+      o.rollback_probability = p;
+      o.seed = seed;
+      Runtime rt(o);
+      SharedArray<uint64_t> sums(rt, kN, 0);
+      SharedArray<uint64_t> side(rt, 1, 0);
+      uint64_t region_forks = 0;
+      for (int rep = 0; rep < 4; ++rep) {
+        for (size_t i = 0; i < kN; ++i) sums[i] = 0;
+        RunStats rs = rt.run([&](Ctx& ctx) {
+          ScopedSpec region =
+              rt.fork_scoped(ctx, ForkModel::kMixed, [&](Ctx& c) {
+                spec_for(rt, c, 0, kN, 12, ForkModel::kMixed,
+                         [&](Ctx& cc, int, int64_t lo, int64_t hi) {
+                           SharedSpan<uint64_t> v = sums.span(cc);
+                           const size_t b = static_cast<size_t>(lo);
+                           const size_t e = static_cast<size_t>(hi);
+                           uint64_t run = b == 0 ? 0 : v[b - 1].get();
+                           for (size_t i = b; i < e; ++i) v[i] = run += term(i);
+                         });
+              });
+          side.at(ctx, 0) += 1;  // the root works beside the region
+        });
+        for (size_t i = 0; i < kN; ++i) {
+          ASSERT_EQ(sums[i], want[i]) << "p=" << p << " seed=" << seed
+                                      << " rep=" << rep << " i=" << i;
+        }
+        region_forks += rs.speculative.forks;
+      }
+      EXPECT_EQ(side[0], 4u);
+      EXPECT_GT(region_forks, 0u) << "the region forked no piece";
+    }
+  }
 }
 
 // --- exceptions out of a loop ----------------------------------------------

@@ -288,9 +288,35 @@ TEST(ApiRuntime, LiveInPredictionValidates) {
         });
     i = 10;  // parent reaches the join point with the predicted value
     JoinOutcome r = rt.join(ctx, s);
-    if (s.speculated()) EXPECT_EQ(r, JoinOutcome::kCommitted);
+    if (s.speculated()) {
+      EXPECT_EQ(r, JoinOutcome::kCommitted);
+    }
   });
   EXPECT_EQ(data[0], 20u);
+}
+
+TEST(ApiRuntime, PredictionsFillEveryRegisterSlot) {
+  Runtime rt(small_opts());
+  SharedArray<uint64_t> data(rt, 1, 0);
+  std::vector<int64_t> vars(kRegisterSlots);
+  std::iota(vars.begin(), vars.end(), 1000);
+  rt.run([&](Ctx& ctx) {
+    ForkOpts opts;
+    for (const int64_t& v : vars) {
+      opts.predictions.push_back(Prediction::of(&v, v));
+    }
+    Spec s = rt.fork(ctx, std::move(opts), [&](Ctx& c) {
+      int64_t last = c.speculative()
+                         ? c.get_livein<int64_t>(kRegisterSlots - 1)
+                         : vars.back();
+      c.store(&data[0], static_cast<uint64_t>(last));
+    });
+    JoinOutcome r = rt.join(ctx, s);
+    if (s.speculated()) {
+      EXPECT_EQ(r, JoinOutcome::kCommitted);
+    }
+  });
+  EXPECT_EQ(data[0], 1000u + kRegisterSlots - 1);
 }
 
 TEST(ApiRuntime, MispredictedLiveInForcesRollback) {
@@ -308,7 +334,9 @@ TEST(ApiRuntime, MispredictedLiveInForcesRollback) {
         });
     i = 11;  // prediction was wrong
     JoinOutcome r = rt.join(ctx, s);
-    if (s.speculated()) EXPECT_EQ(r, JoinOutcome::kRolledBack);
+    if (s.speculated()) {
+      EXPECT_EQ(r, JoinOutcome::kRolledBack);
+    }
   });
   EXPECT_EQ(data[0], 1u);
 }

@@ -18,11 +18,10 @@ namespace {
 using interp::Interpreter;
 using ir::parse_module;
 
-Interpreter::Options opts(DispatchMode mode, int cpus = 2) {
-  Interpreter::Options o;
+ManagerConfig opts(int cpus = 2) {
+  ManagerConfig o;
   o.num_cpus = cpus;
   o.buffer_log2 = 10;
-  o.dispatch_mode = mode;
   return o;
 }
 
@@ -151,7 +150,7 @@ entry:
   ret %r
 }
 )"),
-                 opts(DispatchMode::kDirectThreaded, 1));
+                 opts(1), DispatchMode::kDirectThreaded);
   // 200 + 100 wraps to 44 in i8.
   EXPECT_EQ(it.call("narrow", {200, 100}), 44u);
   // The i32 truncation masks the high word before the shift.
@@ -183,7 +182,7 @@ done:
        {DispatchMode::kSwitch, DispatchMode::kDirectThreaded,
         DispatchMode::kCompiledRegion}) {
     SCOPED_TRACE(dispatch_mode_name(mode));
-    Interpreter it(parse_module(kSum), opts(mode, 1));
+    Interpreter it(parse_module(kSum), opts(1), mode);
     EXPECT_EQ(it.call("sum", {100}), 4950u);
     std::vector<RegionHeat> heat = it.region_heat();
     ASSERT_EQ(heat.size(), 1u);
@@ -263,8 +262,8 @@ done:
 )";
 
 TEST(ExecCompiled, RegistryRejectsUnknownTargets) {
-  Interpreter it(parse_module(kSumForRegistry),
-                 opts(DispatchMode::kCompiledRegion, 1));
+  Interpreter it(parse_module(kSumForRegistry), opts(1),
+                 DispatchMode::kCompiledRegion);
   EXPECT_FALSE(
       it.register_compiled_region("nosuch", "loop", &counting_loop_body));
   EXPECT_FALSE(
@@ -277,7 +276,7 @@ TEST(ExecCompiled, BodyRunsOnlyInCompiledMode) {
   for (DispatchMode mode :
        {DispatchMode::kDirectThreaded, DispatchMode::kCompiledRegion}) {
     SCOPED_TRACE(dispatch_mode_name(mode));
-    Interpreter it(parse_module(kSumForRegistry), opts(mode, 1));
+    Interpreter it(parse_module(kSumForRegistry), opts(1), mode);
     ASSERT_TRUE(
         it.register_compiled_region("sum", "loop", &counting_loop_body));
     g_body_calls.store(0);
@@ -311,7 +310,7 @@ done:
   ret %inc
 }
 )"),
-                 opts(DispatchMode::kCompiledRegion, 1));
+                 opts(1), DispatchMode::kCompiledRegion);
   EXPECT_DEATH(it.register_compiled_region("f", "loop", &counting_loop_body),
                "cannot be compiled");
 }
@@ -323,8 +322,8 @@ done:
 TEST(ExecCompiled, SpeculativeRegionMatchesOracle) {
   for (int cpus : {1, 2, 4}) {
     SCOPED_TRACE(cpus);
-    Interpreter it(parse_module(kernels::fill_ir()),
-                   opts(DispatchMode::kCompiledRegion, cpus));
+    Interpreter it(parse_module(kernels::fill_ir()), opts(cpus),
+                   DispatchMode::kCompiledRegion);
     int n = kernels::register_native_kernels(
         [&](const std::string& f, const std::string& h, CompiledFn b) {
           return it.register_compiled_region(f, h, b);
@@ -365,7 +364,7 @@ entry:
        {DispatchMode::kSwitch, DispatchMode::kDirectThreaded,
         DispatchMode::kCompiledRegion}) {
     SCOPED_TRACE(dispatch_mode_name(mode));
-    Interpreter it(parse_module(kWild), opts(mode, 2));
+    Interpreter it(parse_module(kWild), opts(2), mode);
     EXPECT_EQ(it.call("work"), 5u);
   }
 }

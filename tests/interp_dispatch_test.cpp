@@ -40,17 +40,16 @@ struct Observed {
 Observed run_one(const std::string& ir_text, const std::string& fn,
                  const std::vector<uint64_t>& args, DispatchMode mode,
                  int cpus, double p) {
-  Interpreter::Options o;
+  ManagerConfig o;
   o.num_cpus = cpus;
   o.buffer_log2 = 10;
   o.rollback_probability = p;
-  o.dispatch_mode = mode;
   ir::Module m = parse_module(ir_text);
   std::vector<std::pair<std::string, size_t>> gl;
   for (const ir::Global& g : m.globals) {
     gl.emplace_back(g.name, ir::type_size(g.elem_type) * g.count);
   }
-  Interpreter it(std::move(m), o);
+  Interpreter it(std::move(m), o, mode);
   // Native bodies are registered unconditionally; only kCompiledRegion
   // consults them, so the other tiers double as the no-op control.
   exec::kernels::register_native_kernels(

@@ -11,8 +11,8 @@ namespace {
 
 using ir::parse_module;
 
-Interpreter::Options opts(int cpus = 2) {
-  Interpreter::Options o;
+ManagerConfig opts(int cpus = 2) {
+  ManagerConfig o;
   o.num_cpus = cpus;
   o.buffer_log2 = 10;
   return o;
@@ -273,19 +273,12 @@ entry:
 }
 
 TEST(Interp, RollbackInjectionPreservesResults) {
-  Interpreter::Options o = opts(2);
+  ManagerConfig o = opts(2);
   o.rollback_probability = 1.0;
   Interpreter it(parse_module(kForkJoin), o);
   EXPECT_EQ(it.call("work", {10}), 87u);
   RunStats rs = it.collect_stats();
   EXPECT_GT(rs.speculative.rollbacks + rs.critical.fork_denied, 0u);
-}
-
-TEST(Interp, ModelOverrideAppliesAtIrLevel) {
-  Interpreter::Options o = opts(2);
-  o.model_override = ForkModel::kOutOfOrder;
-  Interpreter it(parse_module(kForkJoin), o);
-  EXPECT_EQ(it.call("work", {10}), 87u);
 }
 
 }  // namespace

@@ -686,7 +686,6 @@ TEST_P(SpecBufferEquivalence, MruInvalidatedAcrossResetForSpeculation) {
   // MRU line, so a reused slot cannot leak a previous speculation's view.
   ThreadData td;
   td.sbuf.init(GetParam(), 8, 64);
-  td.lbuf.init(4);
   alignas(8) uint64_t& x = arena_[1];
   uint64_t v = 99;
   td.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&x), &v, 8);

@@ -93,14 +93,14 @@ TEST(StackBuffer, UnrestoredEntryDoesNotMap) {
 
 TEST(LocalBuffer, StartsWithEntryFrame) {
   LocalBuffer l;
-  l.init(16);
+  l.reset();
   EXPECT_EQ(l.frame_count(), 1u);
   EXPECT_FALSE(l.pop_frame()) << "cannot return from the entry function";
 }
 
 TEST(LocalBuffer, PushPopFramesTrackCallChain) {
   LocalBuffer l;
-  l.init(16);
+  l.reset();
   l.push_frame(3, 7);
   l.push_frame(5, 9);
   EXPECT_EQ(l.frame_count(), 3u);
@@ -114,7 +114,7 @@ TEST(LocalBuffer, PushPopFramesTrackCallChain) {
 
 TEST(LocalBuffer, ResetRestoresSingleFrame) {
   LocalBuffer l;
-  l.init(16);
+  l.reset();
   l.push_frame(1, 1);
   l.top().regs.set(0, 5);
   l.reset();
@@ -126,7 +126,7 @@ TEST(LocalBuffer, ResetRestoresSingleFrame) {
 
 TEST(LocalBuffer, MapPointerSearchesAllFrames) {
   LocalBuffer l;
-  l.init(16);
+  l.reset();
   int w0 = 0, r0 = 0;
   l.top().stack.set(0, reinterpret_cast<uintptr_t>(&w0), &w0, sizeof(w0));
   l.top().stack.get(0, reinterpret_cast<uintptr_t>(&r0), &r0, sizeof(r0));

@@ -264,21 +264,6 @@ TEST_P(ThreadManagerTest, InOrderRootMayForkWhenNoLiveThreads) {
   mgr.synchronize(mgr.root(), mgr.root().children.back());
 }
 
-TEST_P(ThreadManagerTest, ModelOverrideForcesPolicy) {
-  ManagerConfig c = config(2);
-  c.model_override = ForkModel::kOutOfOrder;
-  ThreadManager mgr(c);
-  std::atomic<int> child_fork_rank{-1};
-  ThreadManager* m = &mgr;
-  // Fork point says mixed, but the override downgrades to out-of-order.
-  int rank = mgr.speculate(mgr.root(), ForkModel::kMixed, [&](ThreadData& td) {
-    child_fork_rank = m->speculate(td, ForkModel::kMixed, [](ThreadData&) {});
-  });
-  ASSERT_GT(rank, 0);
-  mgr.synchronize(mgr.root(), mgr.root().children.back());
-  EXPECT_EQ(child_fork_rank.load(), 0);
-}
-
 TEST_P(ThreadManagerTest, AdmissionAllowsQueries) {
   ThreadManager mgr(config(2));
   EXPECT_TRUE(mgr.admission_allows(mgr.root(), ForkModel::kMixed));

@@ -1,7 +1,7 @@
 // Stress and property tests across the runtime + API stack: randomized
 // speculation trees checked against a sequential model, buffered-view
-// semantics against a reference memory model, nested loop drivers, and
-// the statistics identities used by the figures.
+// semantics against a reference memory model, a loop inside a speculated
+// region, and the statistics identities used by the figures.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -229,50 +229,22 @@ TEST(GrowableLogUnderSpeculation, NestedMergeIntoGrowingJoiner) {
   EXPECT_GT(rs.speculative.buffer.resize_events, 0u);
 }
 
-// --- nested loop driver ---------------------------------------------------
+// --- a loop inside a speculated region ------------------------------------
 
-TEST(SpecForNested, MatchesSpecForResults) {
-  for (ForkModel m : {ForkModel::kInOrder, ForkModel::kMixed}) {
-    Runtime rt({.num_cpus = 2, .buffer_log2 = 12});
-    SharedArray<uint64_t> a(rt, 16, 0), b(rt, 16, 0);
-    rt.run([&](Ctx& ctx) {
-      spec_for(rt, ctx, 0, 160, 16, m,
-               [&](Ctx& c, int chunk, int64_t lo, int64_t hi) {
-                 uint64_t s = 0;
-                 for (int64_t i = lo; i < hi; ++i) s += static_cast<uint64_t>(i * i);
-                 c.store(&a[static_cast<size_t>(chunk)], s);
-               });
-    });
-    rt.run([&](Ctx& ctx) {
-      spec_for_nested(rt, ctx, 0, 160, 16, m,
-                      [&](Ctx& c, int chunk, int64_t lo, int64_t hi) {
-                        uint64_t s = 0;
-                        for (int64_t i = lo; i < hi; ++i) {
-                          s += static_cast<uint64_t>(i * i);
-                        }
-                        c.store(&b[static_cast<size_t>(chunk)], s);
-                      });
-    });
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << fork_model_name(m) << " chunk " << i;
-    }
-  }
-}
-
-TEST(SpecForNested, InsideSpeculativeRegion) {
-  // A speculated region may itself run a nested loop driver (mixed model:
-  // speculative threads fork).
+TEST(SpecFor, InsideSpeculativeRegion) {
+  // A speculated region may itself run spec_for (mixed model: speculative
+  // threads fork).
   Runtime rt({.num_cpus = 4, .buffer_log2 = 12});
   SharedArray<uint64_t> out(rt, 8, 0);
   rt.run([&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
-      spec_for_nested(rt, c, 0, 8, 4, ForkModel::kMixed,
-                      [&](Ctx& cc, int, int64_t lo, int64_t hi) {
-                        for (int64_t i = lo; i < hi; ++i) {
-                          cc.store(&out[static_cast<size_t>(i)],
-                                   static_cast<uint64_t>(i + 100));
-                        }
-                      });
+      spec_for(rt, c, 0, 8, 4, ForkModel::kMixed,
+               [&](Ctx& cc, int, int64_t lo, int64_t hi) {
+                 for (int64_t i = lo; i < hi; ++i) {
+                   cc.store(&out[static_cast<size_t>(i)],
+                            static_cast<uint64_t>(i + 100));
+                 }
+               });
     });
     rt.join(ctx, s);
   });
