@@ -1,8 +1,7 @@
-// Dispatch-tier microbench: the two native-kernel IR programs (exec/
-// native_kernels.h) swept over {dispatch mode x buffer backend}. Each cell
-// runs the kernel under a fresh interpreter, validates the result against
-// the kernel's closed-form expectation (a wrong answer or a failed
-// compiled-region registration exits nonzero — this binary doubles as the
+// Dispatch-tier microbench: the two IR kernels of bench/ir_kernels.h swept
+// over {dispatch mode x buffer backend}. Each cell runs the kernel under a
+// fresh interpreter, validates the result against the kernel's closed-form
+// expectation (a wrong answer exits nonzero — this binary doubles as the
 // Release-job smoke check), and reports best-of-N wall time normalized per
 // interpreted instruction.
 //
@@ -15,15 +14,15 @@
 //   --quick    CI smoke sizes (~100x smaller)
 //   --reps N   timed repetitions per cell, best-of (default 5)
 //   --cpus N   virtual CPUs per interpreter (default 2)
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
-#include "exec/native_kernels.h"
+#include "bench/ir_kernels.h"
 #include "exec/profile.h"
 #include "interp/interp.h"
 #include "support/timing.h"
@@ -32,6 +31,7 @@ namespace {
 
 using namespace mutls;
 using interp::Interpreter;
+namespace ir_kernels = bench::ir_kernels;
 
 struct Args {
   uint64_t n_fib = 2'000'000;
@@ -72,8 +72,7 @@ struct CellOut {
 };
 
 // One timed call under a fresh interpreter (fresh manager, cold stats).
-// Returns false when the kernel produced a wrong result or a native body
-// failed to register.
+// Returns false when the kernel produced a wrong result.
 bool run_cell(const Kernel& k, exec::DispatchMode mode, BufferBackend backend,
               const Args& args, CellOut* out) {
   ManagerConfig o;
@@ -81,18 +80,6 @@ bool run_cell(const Kernel& k, exec::DispatchMode mode, BufferBackend backend,
   o.buffer_log2 = 14;
   o.buffer_backend = backend;
   Interpreter it(ir::parse_module(k.ir), o, mode);
-  int registered = exec::kernels::register_native_kernels(
-      [&](const std::string& f, const std::string& h, exec::CompiledFn b) {
-        return it.register_compiled_region(f, h, b);
-      });
-  // Each kernel module holds exactly one of the two kernel functions; the
-  // other two registrations miss (unknown function) by design.
-  int want = std::strcmp(k.fn, "fib") == 0 ? 1 : 2;
-  if (registered != want) {
-    std::fprintf(stderr, "FAIL %s: registered %d native regions, want %d\n",
-                 k.name, registered, want);
-    return false;
-  }
   Stopwatch sw;
   uint64_t got = it.call(k.fn, {k.n});
   uint64_t ns = sw.elapsed_ns();
@@ -116,21 +103,20 @@ int main(int argc, char** argv) {
   Args args = parse(argc, argv);
 
   std::vector<Kernel> kernels = {
-      {"fib", exec::kernels::fib_ir(), "fib", args.n_fib,
-       exec::kernels::fib_expected(args.n_fib),
-       exec::kernels::fib_instrs(args.n_fib)},
-      {"fill", exec::kernels::fill_ir(), "fill", args.n_fill,
-       exec::kernels::fill_expected(args.n_fill),
-       exec::kernels::fill_instrs(args.n_fill)},
+      {"fib", ir_kernels::fib_ir(), "fib", args.n_fib,
+       ir_kernels::fib_expected(args.n_fib),
+       ir_kernels::fib_instrs(args.n_fib)},
+      {"fill", ir_kernels::fill_ir(), "fill", args.n_fill,
+       ir_kernels::fill_expected(args.n_fill),
+       ir_kernels::fill_instrs(args.n_fill)},
   };
   // @fill_cells has 4096 elements; keep n inside it.
   kernels[1].n = std::min<uint64_t>(kernels[1].n, 4096);
-  kernels[1].expected = exec::kernels::fill_expected(kernels[1].n);
-  kernels[1].instrs = exec::kernels::fill_instrs(kernels[1].n);
+  kernels[1].expected = ir_kernels::fill_expected(kernels[1].n);
+  kernels[1].instrs = ir_kernels::fill_instrs(kernels[1].n);
 
   const exec::DispatchMode kModes[] = {exec::DispatchMode::kSwitch,
-                                       exec::DispatchMode::kDirectThreaded,
-                                       exec::DispatchMode::kCompiledRegion};
+                                       exec::DispatchMode::kDirectThreaded};
   const BufferBackend kBackends[] = {BufferBackend::kStaticHash,
                                      BufferBackend::kGrowableLog};
 
@@ -166,10 +152,10 @@ int main(int argc, char** argv) {
             c.rollbacks + s.rollbacks);
         for (const exec::RegionHeat& h : best.heat) {
           std::printf("DISPATCH_HEAT kernel=%s mode=%s backend=%s "
-                      "region=%s:%s count=%" PRIu64 " compiled=%d\n",
+                      "region=%s:%s count=%" PRIu64 "\n",
                       k.name, exec::dispatch_mode_name(mode),
                       buffer_backend_name(backend), h.function.c_str(),
-                      h.header.c_str(), h.count, h.compiled ? 1 : 0);
+                      h.header.c_str(), h.count);
         }
       }
     }

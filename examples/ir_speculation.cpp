@@ -6,7 +6,7 @@
 //   2. the interpreter with integrated TLS semantics, executing the
 //      original annotated program speculatively and checking the result.
 //
-// Run: ./examples/ir_speculation [switch|direct-threaded|compiled-region]
+// Run: ./examples/ir_speculation [switch|direct-threaded]
 // (the optional argument picks the execution-engine dispatch tier; the
 // default is the direct-threaded dispatcher, `switch` is the oracle loop)
 #include <cstdio>
@@ -63,8 +63,6 @@ int main(int argc, char** argv) {
       mode = exec::DispatchMode::kSwitch;
     } else if (!std::strcmp(argv[1], "direct-threaded")) {
       mode = exec::DispatchMode::kDirectThreaded;
-    } else if (!std::strcmp(argv[1], "compiled-region")) {
-      mode = exec::DispatchMode::kCompiledRegion;
     } else {
       std::printf("unknown dispatch mode '%s'\n", argv[1]);
       return 1;

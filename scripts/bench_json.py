@@ -12,19 +12,13 @@ Usage:
   scripts/bench_json.py --bench-dir build/bench [--out BENCH_results.json]
                         [--mode quick|full|paper] [--no-sim|--no-measured]
                         [--no-micro] [--no-ablation] [--no-sustained]
-                        [--no-fig11] [--no-numa] [--baseline OLD.json]
+                        [--no-fig11] [--baseline OLD.json]
 
 The rollback-sensitivity bench (bench_fig11_rollback_sensitivity) is no
 longer a prose figure: it sweeps a deterministic conflict kernel over
 {rollback ratio x backend x prediction on/off} and emits one FIG11 line
 per cell, parsed here into a validated fig11 section that fails loudly on
 any missing cell of the matrix.
-
-The NUMA scaling bench (bench_numa_scaling) contributes a numa_scaling
-section: per-node-count cells of the per-node idle freelists over faked
-topologies on the default store, validated for cross-node work-stealing
-claims on the multi-node shapes, nonzero commits and a zero post-warm-up
-allocation count.
 
 The sustained-load serving bench (bench_sustained_load) contributes a
 sustained_load section: per-{backend x skew x batch} cells with req/s,
@@ -111,25 +105,15 @@ SUSTAINED_CELL_KEYS = ("duration_s", "req_per_s", "p50_ns", "p99_ns",
 # otherwise just shrink the document — fail loudly instead.
 EXPECTED_BACKENDS = ("static-hash", "growable-log")
 
-# NUMA scaling bench: the per-node idle freelists swept over faked
-# topology shapes on the default store, one "NUMA key=value ..." line per
-# node count. Validated into the numa_scaling section: every node count
-# must report, with work-stealing claims on the multi-node shapes, nonzero
-# commits and a zero post-warm-up allocation count.
-NUMA_BENCH = "bench_numa_scaling"
-NUMA_NODE_COUNTS = (1, 2, 4)
-NUMA_CELL_KEYS = ("wall_s", "forks", "cross_node_claims", "commits",
-                  "rollbacks", "alloc_events")
-
-# Execution-engine dispatch microbench: the native-kernel IR programs swept
-# over {dispatch mode x buffer backend}, one self-validating "DISPATCH
+# Execution-engine dispatch microbench: the two IR kernels swept over
+# {dispatch mode x buffer backend}, one self-validating "DISPATCH
 # key=value ..." line per cell (the binary exits nonzero on a wrong kernel
 # result). Parsed into the interp_dispatch section; the full kernel x mode
 # x backend matrix is validated, so a dispatch tier silently dropping out
 # of the sweep fails the run instead of shrinking the document.
 DISPATCH_BENCH = "bench_interp_dispatch"
 DISPATCH_KERNELS = ("fib", "fill")
-DISPATCH_MODES = ("switch", "direct-threaded", "compiled-region")
+DISPATCH_MODES = ("switch", "direct-threaded")
 DISPATCH_CELL_KEYS = ("wall_ns", "iters", "instrs", "ns_per_instr",
                       "back_edges", "commits", "rollbacks")
 
@@ -389,7 +373,7 @@ def run_dispatch(bench_dir: Path, timeout: int, quick: bool):
     entry["cells"] = cells
     entry["region_heat"] = heat
     if proc.returncode != 0:
-        # The binary validates kernel results and native-body registration.
+        # The binary validates kernel results.
         entry["status"] = "failed"
         entry["stderr"] = proc.stderr.splitlines()
         return entry
@@ -422,66 +406,6 @@ def run_dispatch(bench_dir: Path, timeout: int, quick: bool):
         entry["problems"] = problems
         for p in problems:
             print(f"[bench_json] {DISPATCH_BENCH}: {p}", file=sys.stderr)
-        return entry
-    entry["status"] = "ok"
-    return entry
-
-
-def run_numa(bench_dir: Path, timeout: int, quick: bool):
-    """Run the NUMA scaling sweep and validate its cell matrix.
-
-    Every faked node count must report a cell with every required field;
-    the multi-node shapes must show cross-node steals, every shape must
-    commit, and the steady state must stay allocation-free.
-    """
-    exe = bench_dir / NUMA_BENCH
-    entry = {"bench": NUMA_BENCH, "status": "missing"}
-    if not exe.exists():
-        return entry
-    cmd = [str(exe)] + (["--quick"] if quick else [])
-    start = time.monotonic()
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=timeout)
-    except subprocess.TimeoutExpired:
-        entry["status"] = "timeout"
-        entry["seconds"] = round(time.monotonic() - start, 3)
-        return entry
-    entry["seconds"] = round(time.monotonic() - start, 3)
-    entry["exit_code"] = proc.returncode
-    cells = [parse_kv_line(line) for line in proc.stdout.splitlines()
-             if line.startswith("NUMA nodes=")]
-    entry["cells"] = cells
-    if proc.returncode != 0:
-        # The binary polices its own locality and allocation invariants.
-        entry["status"] = "failed"
-        entry["stderr"] = proc.stderr.splitlines()
-        return entry
-
-    problems = []
-    seen = {}
-    for c in cells:
-        missing = [k for k in NUMA_CELL_KEYS if k not in c]
-        if missing:
-            problems.append(f"cell nodes={c.get('nodes')} missing {missing}")
-            continue
-        seen[c.get("nodes")] = c
-    for nodes in NUMA_NODE_COUNTS:
-        c = seen.get(nodes)
-        if c is None:
-            problems.append(f"cell for nodes={nodes} missing")
-            continue
-        if nodes > 1 and c["cross_node_claims"] <= 0:
-            problems.append(f"nodes={nodes}: no work-stealing claims")
-        if c["commits"] <= 0:
-            problems.append(f"nodes={nodes}: no speculation committed")
-        if c["alloc_events"] != 0:
-            problems.append(f"nodes={nodes}: post-warm-up allocations")
-    if problems:
-        entry["status"] = "invalid"
-        entry["problems"] = problems
-        for p in problems:
-            print(f"[bench_json] {NUMA_BENCH}: {p}", file=sys.stderr)
         return entry
     entry["status"] = "ok"
     return entry
@@ -616,8 +540,6 @@ def main() -> int:
     ap.add_argument("--no-fig11", action="store_true",
                     help="skip the rollback-sensitivity (value prediction) "
                          "sweep")
-    ap.add_argument("--no-numa", action="store_true",
-                    help="skip the NUMA scaling (per-node freelist) sweep")
     ap.add_argument("--baseline", default=None,
                     help="previous BENCH_results.json whose hot-path rows "
                          "are embedded as the before of a before/after")
@@ -703,12 +625,6 @@ def main() -> int:
         entry = run_fig11(bench_dir, args.timeout, args.mode == "quick")
         results.append(entry)
         print(f"[bench_json] {FIG11_BENCH}: {entry['status']} "
-              f"({entry.get('seconds', 0)}s)", file=sys.stderr)
-
-    if not args.no_numa and not args.micro_only:
-        entry = run_numa(bench_dir, args.timeout, args.mode == "quick")
-        results.append(entry)
-        print(f"[bench_json] {NUMA_BENCH}: {entry['status']} "
               f"({entry.get('seconds', 0)}s)", file=sys.stderr)
 
     doc = {

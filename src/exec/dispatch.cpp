@@ -385,56 +385,20 @@ void check_stop(ExecState& st, const DecodedInstr& di, uint32_t tip) {
   st.ret = 0;
 }
 
-// Transfer to a native region body (the compilation seam). The body owns
-// the loop until it exits or stops; see exec/compiled_region.h for the
-// speculative-access contract.
-void enter_compiled(ExecState& st, const DecodedInstr& di, RegionInfo& r,
-                    CompiledFn cf) {
-  RegionCtx ctx;
-  ctx.regs = st.regs;
-  ctx.td = st.td;
-  ctx.mgr = st.mgr;
-  ctx.entry_block = di.block;
-  ctx.speculative_entry = st.fr->speculative_entry;
-  ctx.heat = &r.heat;
-  RegionResult res = cf(ctx);
-  if (res.kind == RegionResult::Kind::kStop) {
-    MUTLS_CHECK(st.fr->speculative_entry,
-                "compiled region stopped in a non-speculative frame");
-    st.stop->stop = Stop::kCheck;
-    st.stop->block = res.block;
-    st.stop->instr = res.instr;
-    st.exit = ExecState::Exit::kStopped;
-    st.ret = 0;
-    return;
-  }
-  st.prev_block = res.pred_block;
-  st.ip = st.df->flat_ip(res.block, res.instr);
-}
-
 inline void take_edge(ExecState& st, const DecodedInstr& di, uint32_t tip,
                       uint32_t meta) {
-  if (meta != 0) {  // edge into a loop header (and/or a back edge)
-    RegionInfo& r = *st.df->regions[(meta & kEdgeRegionMask) - 1];
-    if (meta & kEdgeBack) {
-      // The region profiler's entire hot-path cost: one relaxed add.
-      r.heat.fetch_add(1, std::memory_order_relaxed);
-      ++st.td->stats.back_edges;
-      if (st.fr->speculative_entry) {
-        SyncStatus s = st.td->sync_status.load(std::memory_order_acquire);
-        if (s == SyncStatus::kNoSync) {
-          throw SpecAbort{"NOSYNC at check point"};
-        }
-        if (s == SyncStatus::kSync) {
-          check_stop(st, di, tip);
-          return;
-        }
+  if (meta & kEdgeBack) {
+    // The region profiler's entire hot-path cost: one relaxed add.
+    st.df->regions[(meta & kEdgeRegionMask) - 1]->heat.fetch_add(
+        1, std::memory_order_relaxed);
+    ++st.td->stats.back_edges;
+    if (st.fr->speculative_entry) {
+      SyncStatus s = st.td->sync_status.load(std::memory_order_acquire);
+      if (s == SyncStatus::kNoSync) {
+        throw SpecAbort{"NOSYNC at check point"};
       }
-    }
-    if (st.use_compiled) {
-      CompiledFn cf = r.compiled.load(std::memory_order_relaxed);
-      if (cf) {
-        enter_compiled(st, di, r, cf);
+      if (s == SyncStatus::kSync) {
+        check_stop(st, di, tip);
         return;
       }
     }
@@ -495,10 +459,8 @@ bool ends_block(Op op) {
 
 uint32_t edge_meta(const DecodedFunction& df, uint32_t from, uint32_t to) {
   int r = df.region_of(to);
-  if (r < 0) return 0;
-  uint32_t meta = static_cast<uint32_t>(r) + 1;
-  if (to <= from) meta |= kEdgeBack;
-  return meta;
+  if (r < 0 || to > from) return 0;
+  return (static_cast<uint32_t>(r) + 1) | kEdgeBack;
 }
 
 void decode_instr(const ir::Module& m, const Function& f,
@@ -715,18 +677,6 @@ void decode_function(const ir::Module& m, const Function& f,
     r->label = f.blocks[h].label;
     df.regions.push_back(std::move(r));
   }
-  for (uint32_t b = 0; b < f.blocks.size(); ++b) {
-    for (const Instr& in : f.blocks[b].instrs) {
-      if (in.op != Op::kBr && in.op != Op::kCondBr) continue;
-      for (uint32_t t : in.blocks) {
-        if (t > b) continue;
-        int r = df.region_of(t);
-        if (r >= 0 && df.regions[static_cast<size_t>(r)]->last_latch < b) {
-          df.regions[static_cast<size_t>(r)]->last_latch = b;
-        }
-      }
-    }
-  }
 
   // Fork-point table: join positions and live-in validation sets, one
   // liveness pass per function at load (paper IV-G4). Fork points without
@@ -793,32 +743,6 @@ DecodedModule::DecodedModule(
     decode_function(m, f, *df, global_addr);
     fns_.emplace(&f, std::move(df));
   }
-}
-
-bool DecodedModule::register_compiled(const std::string& function,
-                                      const std::string& header_label,
-                                      CompiledFn body) {
-  for (auto& [f, df] : fns_) {
-    if (f->name != function) continue;
-    for (auto& r : df->regions) {
-      if (r->label != header_label) continue;
-      // Eligibility: the region's blocks (header..last latch, the natural-
-      // loop extent under the block-ordering discipline) must be free of
-      // speculation intrinsics and calls — a native body cannot re-enter
-      // the interpreter mid-region.
-      for (uint32_t b = r->header_block; b <= r->last_latch; ++b) {
-        for (const Instr& in : f->blocks[b].instrs) {
-          MUTLS_CHECK(in.op != Op::kMutlsFork && in.op != Op::kMutlsJoin &&
-                          in.op != Op::kMutlsBarrier && in.op != Op::kCall,
-                      "region with forks/joins/calls cannot be compiled");
-        }
-      }
-      r->compiled.store(body, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-  return false;
 }
 
 void DecodedModule::reset_heat() {

@@ -1,5 +1,5 @@
-// Predecoded direct-threaded dispatch (ROADMAP item 5, tier (a) of the
-// execution engine).
+// Predecoded direct-threaded dispatch, the execution engine's default
+// tier.
 //
 // At module load every function's instruction stream is predecoded into a
 // flat, cache-friendly DecodedInstr array: one 64-byte record per IR
@@ -18,12 +18,11 @@
 // execution path: per-fork-point join positions and live-in validation
 // sets (one liveness pass per function at load — the interpreter's lazy
 // mutex-guarded live_cache_ is gone), and the region table of loop headers
-// (back-edge targets) that powers the region profiler (exec/profile.h) and
-// the native-compilation seam (exec/compiled_region.h).
+// (back-edge targets) that powers the region profiler (exec/profile.h).
 //
 // Positions visible to the speculation protocol (stop states, resume
 // points, fork bookkeeping) stay in original (block, instr) coordinates so
-// every dispatch tier interoperates with every other.
+// the two dispatch tiers interoperate.
 #pragma once
 
 #include <atomic>
@@ -34,7 +33,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/compiled_region.h"
 #include "exec/frame.h"
 #include "ir/ir.h"
 
@@ -42,21 +40,18 @@ namespace mutls::exec {
 
 // How the engine executes decoded code. kSwitch is the interpreter's
 // original per-op switch loop, retained as the semantic oracle and
-// fallback; kDirectThreaded is the handler-table dispatcher;
-// kCompiledRegion additionally transfers control to registered native
-// region bodies (see exec/compiled_region.h). The interpreter takes the
-// mode as a constructor argument, next to its ManagerConfig.
+// fallback; kDirectThreaded is the handler-table dispatcher. The
+// interpreter takes the mode as a constructor argument, next to its
+// ManagerConfig.
 enum class DispatchMode : uint8_t {
   kSwitch = 0,
   kDirectThreaded = 1,
-  kCompiledRegion = 2,
 };
 
 inline const char* dispatch_mode_name(DispatchMode m) {
   switch (m) {
     case DispatchMode::kSwitch: return "switch";
     case DispatchMode::kDirectThreaded: return "direct-threaded";
-    case DispatchMode::kCompiledRegion: return "compiled-region";
   }
   return "?";
 }
@@ -65,9 +60,9 @@ struct ExecState;
 struct DecodedInstr;
 using Handler = void (*)(ExecState&, const DecodedInstr&);
 
-// Edge metadata packed per branch target: 0 = plain forward edge into a
-// non-header block; otherwise the low 30 bits hold (region index + 1) of
-// the target loop header and bit 31 marks a back edge (check point).
+// Edge metadata packed per branch target: 0 = forward edge; a back edge
+// (check point) sets bit 31 and holds (region index + 1) of its target
+// loop header in the low 30 bits.
 constexpr uint32_t kEdgeBack = 0x8000'0000u;
 constexpr uint32_t kEdgeRegionMask = 0x3fff'ffffu;
 
@@ -97,15 +92,11 @@ struct ForkPointInfo {
 
 // One profiled region: a natural loop named by its header block (a
 // back-edge target under the repo's block-ordering discipline). `heat`
-// counts back-edge executions (the region profiler's one increment);
-// `compiled` is the native-compilation seam consulted by branch handlers
-// in DispatchMode::kCompiledRegion.
+// counts back-edge executions (the region profiler's one increment).
 struct RegionInfo {
   uint32_t header_block = 0;
-  uint32_t last_latch = 0;  // highest-index back-edge source (loop extent)
-  std::string label;        // header block label
+  std::string label;  // header block label
   std::atomic<uint64_t> heat{0};
-  std::atomic<CompiledFn> compiled{nullptr};
 };
 
 struct DecodedFunction {
@@ -161,7 +152,6 @@ struct ExecState {
   uint32_t ip = 0;
   uint32_t prev_block = 0;  // phi resolution
   bool track = false;       // speculative-entry def/use bookkeeping
-  bool use_compiled = false;
   enum class Exit : uint8_t { kRunning, kReturn, kStopped } exit =
       Exit::kRunning;
   uint64_t ret = 0;
@@ -169,7 +159,7 @@ struct ExecState {
 
 // The whole-module decode artifact. Built once at load (after globals are
 // allocated, so addresses resolve); shared by every thread — the only
-// mutable fields are the per-region atomics.
+// mutable fields are the per-region heat counters.
 class DecodedModule {
  public:
   // `global_addr` resolves a global symbol to its host address.
@@ -181,13 +171,6 @@ class DecodedModule {
     MUTLS_CHECK(it != fns_.end(), "function was not decoded");
     return *it->second;
   }
-
-  // Installs a native body on (function, header label). Returns false when
-  // the function or header is unknown; CHECK-fails when the region is not
-  // eligible (contains forks/joins/barriers/calls — see
-  // exec/compiled_region.h).
-  bool register_compiled(const std::string& function,
-                         const std::string& header_label, CompiledFn body);
 
   // Profiler access (see exec/profile.h for the snapshot shape).
   template <typename Fn>

@@ -1,7 +1,7 @@
 // Speculative memory access for IR execution, written once and shared by
-// every dispatch tier: the interpreter's switch oracle, the direct-threaded
-// handlers and the compiled-region helpers all route loads/stores through
-// these, so doom/rollback semantics cannot drift between tiers.
+// both dispatch tiers: the interpreter's switch oracle and the
+// direct-threaded handlers route loads/stores through these, so
+// doom/rollback semantics cannot drift between tiers.
 //
 // Non-speculative threads access host memory directly through relaxed
 // atomics (TSan-clean against concurrent speculative first-touch reads);

@@ -15,7 +15,6 @@ std::vector<RegionHeat> snapshot_heat(const DecodedModule& dm) {
     h.header = r.label;
     h.header_block = r.header_block;
     h.count = r.heat.load(std::memory_order_relaxed);
-    h.compiled = r.compiled.load(std::memory_order_relaxed) != nullptr;
     out.push_back(std::move(h));
   });
   std::sort(out.begin(), out.end(),

@@ -1,13 +1,12 @@
-// Region profiler of the execution engine (tier (b) of ROADMAP item 5).
+// Region profiler of the execution engine.
 //
 // A region is a natural loop named by its (function, header-block) pair;
 // the decoder discovers regions at module load (see exec/dispatch.h) and
 // the dispatcher's branch handlers pay exactly one relaxed atomic increment
 // per executed back edge. This header is the read side: cheap snapshots of
 // the per-region heat counters, ordered hottest-first, plus a reset for
-// benchmark phases. The same counters are what a future JIT policy would
-// consult to pick compilation candidates; today they feed RunStats,
-// bench_interp_dispatch and BENCH_results.json.
+// benchmark phases. The counters feed RunStats, bench_interp_dispatch and
+// BENCH_results.json.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +23,6 @@ struct RegionHeat {
   std::string header;       // header block label
   uint32_t header_block = 0;
   uint64_t count = 0;       // back-edge executions since the last reset
-  bool compiled = false;    // a native body is registered
 };
 
 // All regions of the module, hottest first (ties: function, then block).

@@ -206,7 +206,7 @@ bool Interpreter::do_join(ThreadData& td, Frame& fr, int64_t point,
   return true;
 }
 
-// --- exec::ExecHost (direct-threaded / compiled-region tiers) -----------
+// --- exec::ExecHost (direct-threaded tier) ------------------------------
 
 void Interpreter::host_fork(exec::ExecState& st, const Instr& in) {
   do_fork(*st.td, *st.fr, in);
@@ -245,7 +245,6 @@ uint64_t Interpreter::exec_any(ThreadData& td, Frame& fr, uint32_t block,
   st.ip = df.flat_ip(block, instr);
   st.prev_block = block;
   st.track = fr.speculative_entry;
-  st.use_compiled = dispatch_mode_ == exec::DispatchMode::kCompiledRegion;
   return exec::run(st);
 }
 
@@ -496,7 +495,7 @@ uint64_t Interpreter::exec_switch(ThreadData& td, Frame& fr, uint32_t block,
                   : ((rd(in.args[0]) & 1) ? in.blocks[0] : in.blocks[1]);
           if (target <= block) {
             // Back edge: credit the region profiler like the threaded
-            // tiers do, then poll the check point (paper IV-E) when
+            // tier does, then poll the check point (paper IV-E) when
             // speculative.
             int r = df.region_of(target);
             if (r >= 0) {

@@ -28,14 +28,13 @@
 // Execution runs on the engine of src/exec/: at construction the module is
 // predecoded (flat handler-table code, per-fork-point join positions and
 // live-in validation sets, the loop-region table) and hot execution uses
-// the direct-threaded dispatcher — or registered native region bodies in
-// DispatchMode::kCompiledRegion. The original per-op switch loop is
-// retained as the semantic oracle (DispatchMode::kSwitch); all tiers share
-// Frame/StopState and the speculative memory path (exec/mem_ops.h), so a
-// child stopped under one tier is resumed correctly by a joiner running
-// another. The tier is a constructor argument; every runtime knob comes
-// from the ManagerConfig beside it, the struct the native embedding's
-// Runtime::Options also names.
+// the direct-threaded dispatcher. The original per-op switch loop is
+// retained as the semantic oracle (DispatchMode::kSwitch); both tiers
+// share Frame/StopState and the speculative memory path (exec/mem_ops.h),
+// so a child stopped under one tier is resumed correctly by a joiner
+// running the other. The tier is a constructor argument; every runtime
+// knob comes from the ManagerConfig beside it, the struct the native
+// embedding's Runtime::Options also names.
 //
 // Restrictions relative to the paper (documented in DESIGN.md): stop
 // positions are taken only in the speculative entry frame, so the
@@ -60,9 +59,7 @@ namespace mutls::interp {
 
 class Interpreter final : private exec::ExecHost {
  public:
-  // `mode` picks the dispatch tier (exec/dispatch.h); kCompiledRegion
-  // additionally runs native bodies registered via
-  // register_compiled_region.
+  // `mode` picks the dispatch tier (exec/dispatch.h).
   Interpreter(ir::Module module, const ManagerConfig& config,
               exec::DispatchMode mode = exec::DispatchMode::kDirectThreaded);
   ~Interpreter();
@@ -81,16 +78,6 @@ class Interpreter final : private exec::ExecHost {
   ThreadManager& manager() { return mgr_; }
 
   // --- execution-engine surface (src/exec/) ---
-
-  // Installs a native body on (function, loop-header label) for
-  // DispatchMode::kCompiledRegion. Returns false when the function or
-  // header is unknown; CHECK-fails on an ineligible region (see
-  // exec/compiled_region.h for the ABI and access contract).
-  bool register_compiled_region(const std::string& function,
-                                const std::string& header_label,
-                                exec::CompiledFn body) {
-    return decoded_->register_compiled(function, header_label, body);
-  }
 
   // Region-profiler counters (back-edge executions per loop region),
   // hottest first. Reset clears them (benchmark phases).
@@ -143,8 +130,8 @@ class Interpreter final : private exec::ExecHost {
   std::unordered_map<std::string, std::unique_ptr<char[]>> globals_;
   exec::DispatchMode dispatch_mode_;
   // Built at construction, after globals are allocated (addresses resolve
-  // at decode). Immutable but for the per-region atomics; shared by every
-  // thread and every dispatch tier (the switch oracle reads its
+  // at decode). Immutable but for the per-region heat counters; shared by
+  // every thread and both dispatch tiers (the switch oracle reads its
   // fork-point tables too — the old lazy liveness cache and its mutex are
   // gone).
   std::unique_ptr<exec::DecodedModule> decoded_;

@@ -24,9 +24,6 @@ struct ThreadStats {
   uint64_t rollbacks = 0;
   uint64_t nosyncs = 0;
   uint64_t back_edges = 0;  // loop back edges executed (region profiler)
-  uint64_t cross_node_claims = 0;  // forks whose child CPU came from a
-                                   // remote node's freelist (same-node
-                                   // placement missed; work stealing)
   uint64_t runtime_ns = 0;  // total wall time attributed to this thread
 
   // Per-backend buffer cost counters, accumulated at each settle: overflow
@@ -47,7 +44,6 @@ struct ThreadStats {
     rollbacks += o.rollbacks;
     nosyncs += o.nosyncs;
     back_edges += o.back_edges;
-    cross_node_claims += o.cross_node_claims;
     buffer += o.buffer;
     runtime_ns += o.runtime_ns;
     return *this;

@@ -1,34 +1,12 @@
 #include "runtime/thread_manager.h"
 
-#include <array>
-
 #include "runtime/spec_abort.h"
 #include "support/spin.h"
 #include "support/timing.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace mutls {
 
 namespace {
-
-// Best-effort thread affinity for the per-node calibration probe: a pin
-// that fails (CPU offline, cpuset restrictions, non-Linux host) just
-// leaves the probe where the scheduler put it — the calibration is a
-// heuristic, never a correctness dependency.
-void pin_current_thread(int cpu_id) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu_id, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu_id;
-#endif
-}
 
 // Folds the buffer backend's cost counters into the thread's statistics at
 // settle time. The buffer's counters survive reset() and are zeroed when
@@ -66,62 +44,19 @@ int measure_spin_budget() {
 
 }  // namespace
 
-int resolve_handoff_spin_budget(int configured, const Topology& topo,
-                                int node) {
-  if (configured > 0) return configured;
-  // Memoized per node: one probe per process per node, shared by every
-  // manager (the property being measured — spin iteration cost on that
-  // node's cores — is per-machine, not per-run). On a probed multi-node
-  // topology the probe thread is pinned to a CPU of the node, so a node
-  // whose cores spin slower (remote cache, heterogeneous cores) gets its
-  // own budget instead of inheriting the probe core's; fake and fallback
-  // topologies calibrate unpinned (their CPU ids are synthetic).
-  static std::array<int, Topology::kMaxNodes> cache{};
-  static std::array<std::once_flag, Topology::kMaxNodes> flags;
-  if (node < 0 || node >= Topology::kMaxNodes) node = 0;
-  std::call_once(flags[static_cast<size_t>(node)], [&] {
-    int budget = 0;
-    if (topo.probed && node < topo.nodes() &&
-        !topo.node_cpus[static_cast<size_t>(node)].empty()) {
-      const int cpu_id = topo.node_cpus[static_cast<size_t>(node)][0];
-      std::thread probe([&] {
-        pin_current_thread(cpu_id);
-        budget = measure_spin_budget();
-      });
-      probe.join();
-    } else {
-      budget = measure_spin_budget();
-    }
-    cache[static_cast<size_t>(node)] = budget;
-  });
-  return cache[static_cast<size_t>(node)];
-}
-
 int resolve_handoff_spin_budget(int configured) {
-  // The single-budget form: node 0, unpinned — shares the per-node cache
-  // so both forms agree on what "the" budget is.
-  return resolve_handoff_spin_budget(configured, Topology{}, 0);
+  if (configured > 0) return configured;
+  // Memoized: one probe per process, shared by every manager (the property
+  // being measured — spin iteration cost on this machine — is per-machine,
+  // not per-run).
+  static const int budget = measure_spin_budget();
+  return budget;
 }
 
-ThreadManager::ThreadManager(const ManagerConfig& config) : config_(config) {
+ThreadManager::ThreadManager(const ManagerConfig& config)
+    : config_(config),
+      spin_budget_(resolve_handoff_spin_budget(config.handoff_spin_budget)) {
   MUTLS_CHECK(config_.num_cpus >= 1, "need at least one virtual CPU");
-  // Resolve the machine shape first: the freelists, the child-placement
-  // policy and the per-node spin budgets all derive from it. More nodes
-  // than virtual CPUs would strand ranks on empty home lists, so the node
-  // count is clamped.
-  topo_ = config_.numa_nodes > 0 ? Topology::fake(config_.numa_nodes)
-                                 : Topology::probe();
-  num_nodes_ = topo_.nodes();
-  if (num_nodes_ < 1) num_nodes_ = 1;
-  if (num_nodes_ > config_.num_cpus) num_nodes_ = config_.num_cpus;
-  if (num_nodes_ > Topology::kMaxNodes) num_nodes_ = Topology::kMaxNodes;
-  for (int n = 0; n < Topology::kMaxNodes; ++n) {
-    node_budget_[n] =
-        n < num_nodes_
-            ? resolve_handoff_spin_budget(config_.handoff_spin_budget, topo_,
-                                          n)
-            : node_budget_[0];
-  }
   root_.rank = 0;
   root_.lbuf.reset();
   // A children stack never holds more than num_cpus live refs (each live
@@ -173,33 +108,23 @@ ThreadManager::~ThreadManager() {
   }
 }
 
-int ThreadManager::pop_idle(int node) {
-  std::atomic<uint64_t>& list = idle_heads_[node].head;
-  uint64_t head = list.load(std::memory_order_acquire);
+int ThreadManager::pop_idle() {
+  uint64_t head = idle_head_.load(std::memory_order_acquire);
   while (true) {
     int rank = static_cast<int>(head & 0xffffffffu);
     if (rank == 0) return 0;
     int next = cpu(rank).next_idle.load(std::memory_order_relaxed);
     uint64_t tagged = ((head >> 32) + 1) << 32 | static_cast<uint32_t>(next);
-    if (list.compare_exchange_weak(head, tagged, std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
+    if (idle_head_.compare_exchange_weak(head, tagged,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
       return rank;
     }
   }
 }
 
-int ThreadManager::claim_cpu(ThreadData& forker) {
-  // Same-node-first placement: the child lands next to its forker (whose
-  // cache lines the live-in setup and the eventual merge touch) and only
-  // steals from the other nodes' lists when the home pool is dry.
-  const int home = node_of_rank(forker.rank);
-  int rank = pop_idle(home);
-  for (int i = 1; rank == 0 && i < num_nodes_; ++i) {
-    int n = home + i;
-    if (n >= num_nodes_) n -= num_nodes_;
-    rank = pop_idle(n);
-    if (rank != 0) ++forker.stats.cross_node_claims;
-  }
+int ThreadManager::claim_cpu() {
+  int rank = pop_idle();
   if (rank != 0) {
     // Release publications: admission_allows reads both with acquire from
     // other threads, and a lock-free kMixed claim racing an in-order
@@ -214,16 +139,14 @@ int ThreadManager::claim_cpu(ThreadData& forker) {
 }
 
 void ThreadManager::push_idle(int rank) {
-  // A rank always parks on its home node's list (node_of_rank is static),
-  // so a cross-node steal is a one-fork loan, not a migration.
-  std::atomic<uint64_t>& list = idle_heads_[node_of_rank(rank)].head;
-  uint64_t head = list.load(std::memory_order_relaxed);
+  uint64_t head = idle_head_.load(std::memory_order_relaxed);
   while (true) {
     cpu(rank).next_idle.store(static_cast<int>(head & 0xffffffffu),
                               std::memory_order_relaxed);
     uint64_t tagged = ((head >> 32) + 1) << 32 | static_cast<uint32_t>(rank);
-    if (list.compare_exchange_weak(head, tagged, std::memory_order_acq_rel,
-                                   std::memory_order_relaxed)) {
+    if (idle_head_.compare_exchange_weak(head, tagged,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_relaxed)) {
       return;
     }
   }
@@ -254,13 +177,13 @@ int ThreadManager::admit_and_claim(ThreadData& forker, ForkModel model) {
         (live_.load(std::memory_order_relaxed) == 0 && forker.rank == 0) ||
         (forker.rank != 0 &&
          forker.rank == most_speculative_rank_.load(std::memory_order_relaxed));
-    return ok ? claim_cpu(forker) : 0;
+    return ok ? claim_cpu() : 0;
   }
   if (model == ForkModel::kMixed || forker.rank == 0) {
     // kMixed admits everyone and kOutOfOrder admits the non-speculative
     // thread: no shared policy state to consult, so the claim is one CAS
     // on the idle freelist — no mutex on the fast path.
-    return claim_cpu(forker);
+    return claim_cpu();
   }
   return 0;
 }
@@ -287,9 +210,6 @@ void ThreadManager::publish_task(Cpu& c) {
 }
 
 void ThreadManager::worker_loop(Cpu& c) {
-  // Each worker spins with its *own node's* calibrated budget (pause
-  // latency can differ across nodes and core types).
-  const int spin_budget = node_budget_[node_of_rank(c.data.rank)];
   while (true) {
     // Spin-then-park: a short bounded spin catches back-to-back forks (the
     // sub-microsecond case) without a futex round trip; an idle worker
@@ -299,7 +219,7 @@ void ThreadManager::worker_loop(Cpu& c) {
               return c.has_task.load(std::memory_order_seq_cst) ||
                      c.shutdown.load(std::memory_order_seq_cst);
             },
-            spin_budget)) {
+            spin_budget_)) {
       std::unique_lock lock(c.mu);
       c.parked.store(true, std::memory_order_seq_cst);
       c.cv.wait(lock, [&] {

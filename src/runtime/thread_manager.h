@@ -21,7 +21,6 @@
 #include "support/inline_task.h"
 #include "support/interval_set.h"
 #include "support/timing.h"
-#include "support/topology.h"
 
 namespace mutls {
 
@@ -73,15 +72,7 @@ struct ManagerConfig {
   // pool is off the scheduler within microseconds regardless of how the
   // host implements cpu_relax (pause vs yield changes the per-iteration
   // cost by orders of magnitude, which is why a fixed count was wrong).
-  // On a multi-node box the probe runs once per NUMA node, pinned to a
-  // CPU of that node; an explicit value applies to every node verbatim.
   int handoff_spin_budget = 0;
-
-  // NUMA node count override. 0 (the default) probes the machine topology
-  // (sysfs; portable single-node fallback — see support/topology.h); a
-  // positive value fakes that many nodes, which is how tests exercise the
-  // per-node freelists on a single-node box.
-  int numa_nodes = 0;
 
   // How long Runtime::run waits for a protocol violation (a fork the user
   // never joined) to drain before CHECK-failing instead of hanging.
@@ -92,13 +83,6 @@ struct ManagerConfig {
 // explicit value, or the memoized calibration probe's (see
 // ManagerConfig::handoff_spin_budget). Exposed for tests and diagnostics.
 int resolve_handoff_spin_budget(int configured);
-
-// Per-node variant: the explicit value verbatim, or the memoized per-node
-// probe — pinned to a CPU of `node` when the topology is real (probed),
-// so each node's budget reflects its own spin-iteration latency. Fake and
-// fallback topologies calibrate unpinned (the CPU ids are synthetic).
-int resolve_handoff_spin_budget(int configured, const Topology& topo,
-                                int node);
 
 class ThreadManager {
  public:
@@ -220,23 +204,9 @@ class ThreadManager {
 
   int num_cpus() const { return config_.num_cpus; }
 
-  // The resolved NUMA shape: node count after the probe (or the
-  // numa_nodes override) was clamped to the virtual-CPU count, and the
-  // static rank→node placement (contiguous blocks, so an in-order chain
-  // of forks walks one node's ranks before spilling to the next).
-  int num_nodes() const { return num_nodes_; }
-  int node_of_rank(int rank) const {
-    if (rank <= 0) return 0;
-    return (rank - 1) * num_nodes_ / config_.num_cpus;
-  }
-  const Topology& topology() const { return topo_; }
-
-  // The spin budget workers on `node` actually use (calibrated per node
-  // when the config said 0; see resolve_handoff_spin_budget). The
-  // argument-free form is node 0, kept for diagnostics and the common
-  // single-node case.
-  int handoff_spin_budget(int node) const { return node_budget_[node]; }
-  int handoff_spin_budget() const { return node_budget_[0]; }
+  // The spin budget every worker uses (calibrated when the config said 0;
+  // see resolve_handoff_spin_budget).
+  int handoff_spin_budget() const { return spin_budget_; }
 
  private:
   struct Cpu {
@@ -271,21 +241,16 @@ class ThreadManager {
 
   void worker_loop(Cpu& cpu);
 
-  // Per-node lock-free idle-rank freelists (one Treiber stack per NUMA
-  // node over the Cpu::next_idle links; each head packs a 32-bit ABA tag
-  // next to the rank). A rank always parks on its *home* node's list —
-  // node_of_rank is static — so the lists never cross-link; claiming
-  // tries the forker's node first and steals round-robin from the others
-  // only when it is empty. On a single-node box this degrades to exactly
-  // the old single Treiber stack.
-  int pop_idle(int node);
+  // The lock-free idle-rank freelist: a Treiber stack over the
+  // Cpu::next_idle links whose head packs a 32-bit ABA tag next to the
+  // rank.
+  int pop_idle();
   void push_idle(int rank);
 
-  // Same-node-first claim plus the shared bookkeeping (live count, chain
-  // head); 0 when every node's pool is empty. A steal from a remote node
-  // counts into the forker's cross_node_claims. The admission branches of
-  // speculate() differ only in whether they hold policy_mu_ around it.
-  int claim_cpu(ThreadData& forker);
+  // Pop plus the shared bookkeeping (live count, chain head); 0 when no
+  // CPU is idle. The admission branches of speculate() differ only in
+  // whether they hold policy_mu_ around it.
+  int claim_cpu();
 
   // The non-template halves of speculate(): model admission + CPU claim
   // (0 = denied), arming the claimed slot for the forker, and the
@@ -323,23 +288,15 @@ class ThreadManager {
   }
 
   ManagerConfig config_;
-  // The machine shape (probed or faked per config_.numa_nodes) and the
-  // node count after clamping to the virtual-CPU count.
-  Topology topo_;
-  int num_nodes_ = 1;
-  // Per-node handoff spin budgets, resolved at construction (explicit
-  // config value, or one calibration probe per node).
-  int node_budget_[Topology::kMaxNodes] = {};
+  // Handoff spin budget of every worker, resolved at construction.
+  const int spin_budget_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
   ThreadData root_;
 
-  // Per-node idle freelist heads: (aba_tag << 32) | rank, rank 0 = empty.
-  // Cache-line separated so claims on different nodes never contend the
-  // same line — the point of sharding the old single head.
-  struct alignas(64) IdleHead {
-    std::atomic<uint64_t> head{0};
-  };
-  IdleHead idle_heads_[Topology::kMaxNodes];
+  // Idle freelist head: (aba_tag << 32) | rank, rank 0 = empty. Every
+  // fork and join CASes it, so it gets a cache line of its own: policy_mu_
+  // starts the next one, keeping the policy state below off this line.
+  alignas(64) std::atomic<uint64_t> idle_head_{0};
 
   // kMixed and kOutOfOrder admissions are decided and claimed without any
   // lock (the policy state is atomic and the claim is the freelist CAS);
@@ -353,7 +310,7 @@ class ThreadManager {
   // fully-locked path let a mixed fork retarget most_speculative_rank_ —
   // mixing models across concurrently forking threads has always meant
   // best-effort chain fidelity.
-  mutable std::mutex policy_mu_;
+  alignas(64) mutable std::mutex policy_mu_;
   std::atomic<int> most_speculative_rank_{0};
   std::atomic<int> live_{0};
 

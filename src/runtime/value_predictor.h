@@ -1,6 +1,5 @@
 // ValuePredictor — per-virtual-CPU last-value + stride predictor over word
-// addresses (ROADMAP item 4: the paper's IV-G4 live-in prediction
-// generalized to memory).
+// addresses: the paper's IV-G4 live-in prediction generalized to memory.
 //
 // The paper's `ForkOpts.predictions` only covers values the forker names
 // up front; every other read-set conflict dooms the whole speculation.

@@ -1,6 +1,5 @@
-// Per-virtual-CPU arena memory (ROADMAP item: zero allocations per
-// fork/join at steady state, in the spirit of lusca-cache's MemPool/MemBuf
-// typed pools).
+// Per-virtual-CPU arena memory: zero allocations per fork/join at steady
+// state, in the spirit of lusca-cache's MemPool/MemBuf typed pools.
 //
 // Every ThreadData owns one Arena; ownership follows the slot's speculation
 // protocol (fork handoff, flag barrier, settle), so the arena needs no

@@ -1,6 +1,6 @@
-// HTTP request-serving workload over the serving subsystem (ROADMAP item:
-// the paper's benchmarks are all compute-shaped; this is the server-shaped
-// complement — short tasks, shared index, skew-controlled conflicts).
+// HTTP request-serving workload over the serving subsystem. The paper's
+// benchmarks are all compute-shaped; this is the server-shaped complement:
+// short tasks, shared index, skew-controlled conflicts.
 //
 // Batches of synthetic wire-format requests flow through the serve_batch
 // pipeline (parse → route/lookup → index update) against a shared

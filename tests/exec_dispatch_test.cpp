@@ -1,14 +1,13 @@
 // Unit tests of the execution engine (src/exec/): decoder layout and
 // specialization, fork-point tables vs the liveness analysis, region
-// discovery, the profiler's exact counts, and the compiled-region registry
-// and ABI (including the doomed-speculation path through region helpers).
+// discovery, the profiler's exact counts, and speculative execution
+// through the direct-threaded tier (including the doomed-speculation path).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 
+#include "bench/ir_kernels.h"
 #include "exec/dispatch.h"
-#include "exec/native_kernels.h"
 #include "exec/profile.h"
 #include "interp/interp.h"
 
@@ -17,6 +16,7 @@ namespace {
 
 using interp::Interpreter;
 using ir::parse_module;
+namespace kernels = bench::ir_kernels;
 
 ManagerConfig opts(int cpus = 2) {
   ManagerConfig o;
@@ -96,8 +96,7 @@ done:
   ASSERT_GE(outer, 0);
   ASSERT_GE(inner, 0);
   EXPECT_EQ(df.regions[outer]->label, "outer");
-  EXPECT_EQ(df.regions[outer]->last_latch, f.block_index("latch"));
-  EXPECT_EQ(df.regions[inner]->last_latch, f.block_index("inner"));
+  EXPECT_EQ(df.regions[inner]->label, "inner");
 }
 
 TEST(ExecDecode, ForkPointTableMatchesLivenessAnalysis) {
@@ -179,8 +178,7 @@ done:
 }
 )";
   for (DispatchMode mode :
-       {DispatchMode::kSwitch, DispatchMode::kDirectThreaded,
-        DispatchMode::kCompiledRegion}) {
+       {DispatchMode::kSwitch, DispatchMode::kDirectThreaded}) {
     SCOPED_TRACE(dispatch_mode_name(mode));
     Interpreter it(parse_module(kSum), opts(1), mode);
     EXPECT_EQ(it.call("sum", {100}), 4950u);
@@ -197,148 +195,26 @@ done:
   }
 }
 
-// --- compiled-region registry and ABI -----------------------------------
+// --- speculative execution -----------------------------------------------
 
-std::atomic<uint64_t> g_body_calls{0};
-
-RegionResult counting_loop_body(RegionCtx& ctx) {
-  g_body_calls.fetch_add(1, std::memory_order_relaxed);
-  // @sum loop of HeatCountsBackEdgesExactly: ids resolved by fixed parser
-  // assignment (n=1, zero=2, one=3, i=4, s=5, s2=6, inc=7, c=8).
-  uint64_t i, s;
-  if (ctx.entry_block == 0) {
-    i = ctx.regs[2];
-    s = ctx.regs[2];
-  } else {
-    i = ctx.regs[7];
-    s = ctx.regs[6];
-  }
-  const uint64_t one = ctx.regs[3];
-  const int64_t n = static_cast<int64_t>(ctx.regs[1]);
-  uint64_t iters = 0;
-  for (;;) {
-    uint64_t s2 = s + i;
-    uint64_t inc = i + one;
-    if (static_cast<int64_t>(inc) >= n) {
-      ctx.regs[4] = i;
-      ctx.regs[5] = s;
-      ctx.regs[6] = s2;
-      ctx.regs[7] = inc;
-      ctx.regs[8] = 0;
-      region_credit(ctx, iters);
-      return RegionResult::exit(2, 0, 1);
-    }
-    ++iters;
-    if (region_poll(ctx)) {
-      ctx.regs[6] = s2;
-      ctx.regs[7] = inc;
-      ctx.regs[8] = 1;
-      ctx.regs[4] = inc;
-      ctx.regs[5] = s2;
-      region_credit(ctx, iters);
-      return RegionResult::stop(1, 2);
-    }
-    i = inc;
-    s = s2;
-  }
-}
-
-const char* kSumForRegistry = R"(
-func @sum(%n: i64) : i64 {
-entry:
-  %zero = const i64 0
-  %one = const i64 1
-  br loop
-loop:
-  %i = phi i64 [%zero, entry], [%inc, loop]
-  %s = phi i64 [%zero, entry], [%s2, loop]
-  %s2 = add %s, %i
-  %inc = add %i, %one
-  %c = icmp slt %inc, %n
-  condbr %c, loop, done
-done:
-  ret %s2
-}
-)";
-
-TEST(ExecCompiled, RegistryRejectsUnknownTargets) {
-  Interpreter it(parse_module(kSumForRegistry), opts(1),
-                 DispatchMode::kCompiledRegion);
-  EXPECT_FALSE(
-      it.register_compiled_region("nosuch", "loop", &counting_loop_body));
-  EXPECT_FALSE(
-      it.register_compiled_region("sum", "entry", &counting_loop_body));
-  EXPECT_TRUE(
-      it.register_compiled_region("sum", "loop", &counting_loop_body));
-}
-
-TEST(ExecCompiled, BodyRunsOnlyInCompiledMode) {
-  for (DispatchMode mode :
-       {DispatchMode::kDirectThreaded, DispatchMode::kCompiledRegion}) {
-    SCOPED_TRACE(dispatch_mode_name(mode));
-    Interpreter it(parse_module(kSumForRegistry), opts(1), mode);
-    ASSERT_TRUE(
-        it.register_compiled_region("sum", "loop", &counting_loop_body));
-    g_body_calls.store(0);
-    EXPECT_EQ(it.call("sum", {100}), 4950u);
-    if (mode == DispatchMode::kCompiledRegion) {
-      EXPECT_GT(g_body_calls.load(), 0u);
-      // The body credits the same back-edge count interpretation would.
-      EXPECT_EQ(it.region_heat()[0].count, 99u);
-    } else {
-      EXPECT_EQ(g_body_calls.load(), 0u);
-    }
-  }
-}
-
-TEST(ExecCompiled, RegistryRejectsRegionsWithIntrinsics) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Interpreter it(parse_module(R"(
-func @f(%n: i64) : i64 {
-entry:
-  %zero = const i64 0
-  %one = const i64 1
-  br loop
-loop:
-  %i = phi i64 [%zero, entry], [%inc, loop]
-  mutls.fork 0, mixed
-  mutls.join 0
-  %inc = add %i, %one
-  %c = icmp slt %inc, %n
-  condbr %c, loop, done
-done:
-  ret %inc
-}
-)"),
-                 opts(1), DispatchMode::kCompiledRegion);
-  EXPECT_DEATH(it.register_compiled_region("f", "loop", &counting_loop_body),
-               "cannot be compiled");
-}
-
-// The native fill kernel drives the speculative side of the ABI: the
-// child executes the compiled rloop through its SpecBuffer and stops at a
-// region_poll check point (or its barrier), and the results match the
-// sequential oracle whatever the interleaving.
-TEST(ExecCompiled, SpeculativeRegionMatchesOracle) {
+// The fill kernel's speculative child runs the interpreted rloop through
+// its SpecBuffer and stops at a check point (or its barrier), and the
+// results match the sequential oracle whatever the interleaving.
+TEST(ExecDispatch, SpeculativeFillMatchesOracle) {
   for (int cpus : {1, 2, 4}) {
     SCOPED_TRACE(cpus);
     Interpreter it(parse_module(kernels::fill_ir()), opts(cpus),
-                   DispatchMode::kCompiledRegion);
-    int n = kernels::register_native_kernels(
-        [&](const std::string& f, const std::string& h, CompiledFn b) {
-          return it.register_compiled_region(f, h, b);
-        });
-    EXPECT_EQ(n, 2);  // wloop + rloop (fib is not in this module)
+                   DispatchMode::kDirectThreaded);
     EXPECT_EQ(it.call("fill", {2000}), kernels::fill_expected(2000));
   }
 }
 
 // A speculative child that stores through a wild pointer dooms itself via
 // the shared memory path; the run still completes with the sequential
-// result in every dispatch mode. The wild address is taken only when the
+// result in both dispatch modes. The wild address is taken only when the
 // speculative load observed the pre-store value, so the non-speculative
 // re-execution after rollback (which sees 5) stores to the real global.
-TEST(ExecCompiled, WildSpeculativeStoreDoomsAndRecovers) {
+TEST(ExecDispatch, WildSpeculativeStoreDoomsAndRecovers) {
   const char* kWild = R"(
 global @res : i64[1]
 func @work() : i64 {
@@ -361,8 +237,7 @@ entry:
 }
 )";
   for (DispatchMode mode :
-       {DispatchMode::kSwitch, DispatchMode::kDirectThreaded,
-        DispatchMode::kCompiledRegion}) {
+       {DispatchMode::kSwitch, DispatchMode::kDirectThreaded}) {
     SCOPED_TRACE(dispatch_mode_name(mode));
     Interpreter it(parse_module(kWild), opts(2), mode);
     EXPECT_EQ(it.call("work"), 5u);

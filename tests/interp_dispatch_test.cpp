@@ -1,8 +1,8 @@
 // Differential equivalence suite for the execution engine's dispatch
 // tiers: every program must produce byte-identical observable results —
 // return value, printed output, committed global memory — under
-// {switch, direct-threaded, compiled-region} x {1, 2, 4} virtual CPUs x
-// injected rollbacks, with the original switch loop as the oracle.
+// {switch, direct-threaded} x {1, 2, 4} virtual CPUs x injected
+// rollbacks, with the original switch loop as the oracle.
 // TLS correctness demands the outputs be independent of all three axes, so
 // a single sequential oracle run pins down the expectation for the whole
 // matrix.
@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/native_kernels.h"
+#include "bench/ir_kernels.h"
 #include "interp/interp.h"
 
 namespace mutls::interp {
@@ -22,10 +22,10 @@ namespace {
 
 using exec::DispatchMode;
 using ir::parse_module;
+namespace kernels = bench::ir_kernels;
 
 constexpr DispatchMode kModes[] = {DispatchMode::kSwitch,
-                                   DispatchMode::kDirectThreaded,
-                                   DispatchMode::kCompiledRegion};
+                                   DispatchMode::kDirectThreaded};
 constexpr int kCpus[] = {1, 2, 4};
 constexpr double kRollbackP[] = {0.0, 1.0};
 
@@ -50,12 +50,6 @@ Observed run_one(const std::string& ir_text, const std::string& fn,
     gl.emplace_back(g.name, ir::type_size(g.elem_type) * g.count);
   }
   Interpreter it(std::move(m), o, mode);
-  // Native bodies are registered unconditionally; only kCompiledRegion
-  // consults them, so the other tiers double as the no-op control.
-  exec::kernels::register_native_kernels(
-      [&](const std::string& f, const std::string& h, exec::CompiledFn b) {
-        return it.register_compiled_region(f, h, b);
-      });
   Observed ob;
   ob.ret = it.call(fn, args);
   ob.printed = it.printed;
@@ -94,7 +88,7 @@ void expect_equivalent(const std::string& ir_text, const std::string& fn,
               0u);
         }
         // The region profiler pairs every back-edge stat increment with a
-        // heat increment, in every tier (compiled bodies credit in bulk).
+        // heat increment, in both tiers.
         EXPECT_EQ(got.heat_total, got.stats.critical.back_edges +
                                       got.stats.speculative.back_edges);
         // Committed speculation redistributes back edges between the
@@ -109,7 +103,7 @@ void expect_equivalent(const std::string& ir_text, const std::string& fn,
   }
 }
 
-// --- fixed corpus (the interp_test programs and the native kernels) -----
+// --- fixed corpus (the interp_test programs and the bench kernels) ------
 
 TEST(InterpDispatch, StraightLineArithmetic) {
   expect_equivalent(R"(
@@ -310,18 +304,18 @@ entry:
 }
 
 TEST(InterpDispatch, FibKernel) {
-  expect_equivalent(exec::kernels::fib_ir(), "fib", {40});
+  expect_equivalent(kernels::fib_ir(), "fib", {40});
   // And the kernel's own oracle.
-  Observed o = run_one(exec::kernels::fib_ir(), "fib", {40},
-                       DispatchMode::kCompiledRegion, 2, 0.0);
-  EXPECT_EQ(o.ret, exec::kernels::fib_expected(40));
+  Observed o = run_one(kernels::fib_ir(), "fib", {40},
+                       DispatchMode::kDirectThreaded, 2, 0.0);
+  EXPECT_EQ(o.ret, kernels::fib_expected(40));
 }
 
 TEST(InterpDispatch, FillKernel) {
-  expect_equivalent(exec::kernels::fill_ir(), "fill", {300});
-  Observed o = run_one(exec::kernels::fill_ir(), "fill", {300},
-                       DispatchMode::kCompiledRegion, 2, 0.0);
-  EXPECT_EQ(o.ret, exec::kernels::fill_expected(300));
+  expect_equivalent(kernels::fill_ir(), "fill", {300});
+  Observed o = run_one(kernels::fill_ir(), "fill", {300},
+                       DispatchMode::kDirectThreaded, 2, 0.0);
+  EXPECT_EQ(o.ret, kernels::fill_expected(300));
 }
 
 // --- randomized programs ------------------------------------------------

@@ -41,6 +41,11 @@ void* counted_alloc_aligned(std::size_t n, std::size_t align) {
   return p;
 }
 
+// Every replacement operator delete frees through this one out-of-line
+// call: inlined, GCC sees std::free release memory from `new` in gtest's
+// `new TestClass` and warns -Wmismatched-new-delete.
+[[gnu::noinline]] void heap_free(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -72,21 +77,25 @@ void* operator new[](std::size_t n, std::align_val_t a,
   return counted_alloc_aligned(n, static_cast<std::size_t>(a));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+void operator delete(void* p) noexcept { heap_free(p); }
+void operator delete[](void* p) noexcept { heap_free(p); }
+void operator delete(void* p, std::size_t) noexcept { heap_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { heap_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  heap_free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  heap_free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { heap_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  heap_free(p);
+}
 void operator delete(void* p, std::align_val_t, std::size_t) noexcept {
-  std::free(p);
+  heap_free(p);
 }
 void operator delete[](void* p, std::align_val_t, std::size_t) noexcept {
-  std::free(p);
+  heap_free(p);
 }
 
 namespace mutls {

@@ -486,60 +486,30 @@ INSTANTIATE_TEST_SUITE_P(
       return backend_camel_name(info.param);
     });
 
-// --- NUMA topology-aware fork placement (per-node idle freelists) ---
+// --- the lock-free idle freelist ---
 //
-// ManagerConfig::numa_nodes > 0 fakes a topology, so these run on any
-// machine (including the single-node CI box). The churn tests double as
-// the TSan regression for the claim-side release ordering: claim_cpu's
-// publications of live_ / most_speculative_rank_ race with
-// admission_allows' acquire reads on concurrently forking workers, which
-// TSan flags if either side decays to relaxed. (This suite rides the
-// runtime_ TSan/ASan CI regexes.)
+// The churn tests double as the TSan regression for the claim-side
+// release ordering: claim_cpu's publications of live_ /
+// most_speculative_rank_ race with admission_allows' acquire reads on
+// concurrently forking workers, which TSan flags if either side decays to
+// relaxed. (This suite rides the runtime_ TSan/ASan CI regexes.)
 
-TEST(NumaFreelist, FakeTopologyShapesRankToNodeMapping) {
-  ManagerConfig c = small_config(BufferBackend::kStaticHash, 4);
-  c.numa_nodes = 2;
-  ThreadManager mgr(c);
-  ASSERT_EQ(mgr.num_nodes(), 2);
-  EXPECT_FALSE(mgr.topology().probed) << "a faked shape is not a probe";
-  // Ranks split evenly across nodes, root (rank 0) on node 0.
-  EXPECT_EQ(mgr.node_of_rank(0), 0);
-  EXPECT_EQ(mgr.node_of_rank(1), 0);
-  EXPECT_EQ(mgr.node_of_rank(2), 0);
-  EXPECT_EQ(mgr.node_of_rank(3), 1);
-  EXPECT_EQ(mgr.node_of_rank(4), 1);
-}
-
-TEST(NumaFreelist, NodeCountClampsToCpuCount) {
-  ManagerConfig c = small_config(BufferBackend::kStaticHash, 1);
-  c.numa_nodes = 8;
-  ThreadManager mgr(c);
-  EXPECT_EQ(mgr.num_nodes(), 1)
-      << "never more nodes than virtual CPUs: no rank may strand on an "
-         "empty home freelist";
-  // The degenerate shape still forks and joins.
-  int r = mgr.speculate(mgr.root(), ForkModel::kMixed, [](ThreadData&) {});
-  ASSERT_GT(r, 0);
-  EXPECT_EQ(mgr.synchronize(mgr.root(), mgr.root().children.back()),
-            ThreadManager::JoinResult::kCommit);
-}
-
-TEST(NumaFreelist, TwoNodeChurnLosesNoRankAndCountsSteals) {
-  ManagerConfig c = small_config(BufferBackend::kStaticHash, 4);
-  c.numa_nodes = 2;
-  ThreadManager mgr(c);
-  ASSERT_EQ(mgr.num_nodes(), 2);
+TEST(IdleFreelist, FillingEveryRankLosesNone) {
+  // EXPECT rather than ASSERT: returning with speculations still live
+  // would hang the manager's teardown, so a failing round still releases
+  // and joins what it claimed, and the next round does not start.
+  ThreadManager mgr(small_config(BufferBackend::kStaticHash, 4));
   std::atomic<bool> release{false};
-  for (int round = 0; round < 25; ++round) {
+  for (int round = 0; round < 25 && !HasFailure(); ++round) {
     release = false;
     uint32_t seen = 0;
     for (int i = 0; i < 4; ++i) {
       int r = mgr.speculate(mgr.root(), ForkModel::kMixed, [&](ThreadData&) {
         while (!release.load()) std::this_thread::yield();
       });
-      ASSERT_GT(r, 0) << "round " << round << ": a rank was lost";
-      ASSERT_LE(r, 4);
-      ASSERT_EQ(seen & (1u << r), 0u)
+      EXPECT_GT(r, 0) << "round " << round << ": a rank was lost";
+      EXPECT_LE(r, 4);
+      EXPECT_EQ(seen & (1u << r), 0u)
           << "round " << round << ": rank " << r << " double-claimed";
       seen |= 1u << r;
     }
@@ -548,27 +518,22 @@ TEST(NumaFreelist, TwoNodeChurnLosesNoRankAndCountsSteals) {
         << "all four ranks are live: the fifth fork must be denied";
     release = true;
     while (!mgr.root().children.empty()) {
-      ASSERT_EQ(mgr.synchronize(mgr.root(), mgr.root().children.back()),
+      EXPECT_EQ(mgr.synchronize(mgr.root(), mgr.root().children.back()),
                 ThreadManager::JoinResult::kCommit);
     }
-    ASSERT_EQ(mgr.live_threads(), 0);
+    EXPECT_EQ(mgr.live_threads(), 0);
   }
-  // The root's home node 0 owns only two of the four ranks: filling the
-  // machine every round forced claims from node 1's freelist.
-  EXPECT_GT(mgr.root().stats.cross_node_claims, 0u);
 }
 
-TEST(NumaFreelist, ConcurrentWorkerClaimsStayDistinct) {
+TEST(IdleFreelist, ConcurrentWorkerClaimsStayDistinct) {
   // Workers fork grandchildren while the root forks children: pop_idle /
-  // push_idle race across both node freelists. Every rank handed out in a
-  // round is held live (spinning on `release`) until the whole round's
-  // claims are recorded — the root releases only once every child has
-  // made its fork attempt, and a rank is only pushed back to its freelist
-  // after release — so a set bit in the mask means exactly "handed out
+  // push_idle race on the freelist head. Every rank handed out in a round
+  // is held live (spinning on `release`) until the whole round's claims
+  // are recorded — the root releases only once every child has made its
+  // fork attempt, and a rank is only pushed back to the freelist after
+  // release — so a set bit in the mask means exactly "handed out
   // twice", never legal sequential reuse within the round.
-  ManagerConfig c = small_config(BufferBackend::kStaticHash, 4);
-  c.numa_nodes = 2;
-  ThreadManager mgr(c);
+  ThreadManager mgr(small_config(BufferBackend::kStaticHash, 4));
   ThreadManager* m = &mgr;
   for (int round = 0; round < 25; ++round) {
     std::atomic<bool> release{false};
@@ -579,6 +544,7 @@ TEST(NumaFreelist, ConcurrentWorkerClaimsStayDistinct) {
       uint32_t bit = 1u << rank;
       if (live_mask.fetch_or(bit) & bit) double_claims.fetch_add(1);
     };
+    int forked = 0;
     for (int i = 0; i < 2; ++i) {
       int r = mgr.speculate(mgr.root(), ForkModel::kMixed,
                             [&, m](ThreadData& td) {
@@ -593,12 +559,13 @@ TEST(NumaFreelist, ConcurrentWorkerClaimsStayDistinct) {
         while (!release.load()) std::this_thread::yield();
         if (g > 0) m->synchronize(td, td.children.back());
       });
-      ASSERT_GT(r, 0);
+      EXPECT_GT(r, 0);  // not ASSERT: the forked child must still be joined
+      if (r > 0) ++forked;
     }
     // Without this wait a child that starts late could fork after another
     // child already synchronized its grandchild, and legally reuse that
     // rank within the round.
-    while (fork_attempts.load() != 2) std::this_thread::yield();
+    while (fork_attempts.load() != forked) std::this_thread::yield();
     release = true;
     while (!mgr.root().children.empty()) {
       mgr.synchronize(mgr.root(), mgr.root().children.back());
@@ -632,24 +599,6 @@ TEST(HandoffSpinBudget, ZeroCalibratesWithinClamp) {
   c.num_cpus = 1;
   ThreadManager mgr(c);
   EXPECT_EQ(mgr.handoff_spin_budget(), calibrated);
-}
-
-TEST(HandoffSpinBudget, PerNodeBudgetsHonorOverrideAndClamp) {
-  // An explicit budget applies verbatim on every node of a faked
-  // topology; calibration (0) stays within the clamp on every node.
-  ManagerConfig c;
-  c.num_cpus = 4;
-  c.numa_nodes = 2;
-  c.handoff_spin_budget = 777;
-  ThreadManager overridden(c);
-  EXPECT_EQ(overridden.handoff_spin_budget(0), 777);
-  EXPECT_EQ(overridden.handoff_spin_budget(1), 777);
-  c.handoff_spin_budget = 0;
-  ThreadManager calibrated(c);
-  for (int n = 0; n < calibrated.num_nodes(); ++n) {
-    EXPECT_GE(calibrated.handoff_spin_budget(n), 64) << "node " << n;
-    EXPECT_LE(calibrated.handoff_spin_budget(n), 8192) << "node " << n;
-  }
 }
 
 TEST(HandoffSpinBudget, ForkJoinWorksAcrossBudgetExtremes) {
