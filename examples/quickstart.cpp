@@ -21,13 +21,15 @@ int main() {
   uint64_t total = 0;
 
   RunStats stats = rt.run([&](Ctx& ctx) {
-    // Parallel reduction over 1..kN: the range is split into chunks, a
-    // chain of speculative threads runs ahead, and the calling thread
-    // joins (validates + commits) each chunk in order — the paper's loop
-    // speculation, as a one-liner.
+    // Parallel reduction over 1..kN: the range is split into chunks, the
+    // calling thread runs the first ones while speculative threads run the
+    // rest, and the caller joins (validates + commits) them in order — the
+    // paper's loop speculation, as a one-liner. The map is generic in its
+    // context: the speculative threads run it with a Ctx, the caller with
+    // a NativeCtx that has no speculative path.
     total = par::reduce(rt, ctx, 1, kN + 1,
                         {.chunks = 8, .checkpoint_every = 0x10000},
-                        uint64_t{0}, [](Ctx&, int64_t i) {
+                        uint64_t{0}, [](auto&, int64_t i) {
                           // Collatz trajectory length of i: pure computation.
                           uint64_t x = static_cast<uint64_t>(i), steps = 0;
                           while (x != 1) {

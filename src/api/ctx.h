@@ -1,12 +1,24 @@
-// Execution context of the native MUTLS embedding (API v2, layer 1 of 4).
+// Execution contexts of the native MUTLS embedding (API v2, layer 1 of 4).
 //
-// `Ctx` is the per-thread view of shared memory: every shared access inside
-// a speculated region routes through it, hitting the speculative buffer map
-// (paper IV-G2) when the thread is speculative and the relaxed direct path
-// otherwise. Ctx::load/store are the raw MUTLS_load_*/MUTLS_store_*
+// A context is one thread's view of shared memory, and a loop body reaches
+// shared memory only through it. There are two, one per version of the
+// code (paper IV-C, step 1: only the speculative clone of a function calls
+// MUTLS_load/MUTLS_store, while the non-speculative thread keeps running
+// the original):
+//
+//  * `Ctx` serves every thread. On a speculative thread each access goes
+//    through the speculative buffer map (paper IV-G2) and is counted; on
+//    the non-speculative thread it takes the relaxed direct path, uncounted.
+//  * `NativeCtx` serves the non-speculative thread only, and has no
+//    speculative path compiled in: each access is one relaxed atomic. It is
+//    what spec_for hands a generic loop body (`[&](auto& c, ...)`) for the
+//    chunks the caller runs, so the same body is instantiated once per
+//    version.
+//
+// load/store/load_n/store_n are the raw MUTLS_load_*/MUTLS_store_*
 // wrappers; application code should prefer the typed views of
 // "api/shared.h" (`Shared<T>`, `SharedSpan<T>`, `shared()`), which wrap
-// these calls behind ordinary `a[i] += x` syntax.
+// these calls behind ordinary `a[i] += x` syntax for either context.
 //
 // Layering: ctx.h (this file) -> spec.h (fork/join/Runtime) -> shared.h
 // (typed views) -> parallel.h (loop drivers + mutls::par algorithms), all
@@ -22,16 +34,17 @@
 #include "runtime/memory.h"
 #include "runtime/spec_abort.h"
 #include "runtime/thread_data.h"
+#include "support/check.h"
 
 namespace mutls {
 
 class Runtime;
 
-// Execution context of one thread (speculative or not). Every shared-memory
-// access inside a speculated region must go through this wrapper.
+// Execution context of one thread, speculative or not. A speculative
+// thread's shared accesses must all go through it.
 class Ctx {
  public:
-  bool speculative() const { return td_->is_speculative(); }
+  bool speculative() const { return speculative_; }
   int rank() const { return td_->rank; }
   Runtime& runtime() const { return *rt_; }
   ThreadData& thread_data() const { return *td_; }
@@ -45,14 +58,13 @@ class Ctx {
 
   // A speculative load keeps the registration check and the word-view hit
   // inline; a hit cannot doom, so it returns without a doom check. A miss
-  // is one call to the out-of-line SpecBuffer::load_miss.
+  // is one call to the out-of-line SpecBuffer::load_miss. Only speculative
+  // accesses are counted: the non-speculative path returns first.
   template <typename T>
   T load(const T* p) {
     static_assert(std::is_trivially_copyable_v<T>);
+    if (!speculative_) return relaxed_load_scalar(p);
     ++td_->stats.loads;
-    if (!td_->is_speculative()) {
-      return relaxed_load_scalar(p);
-    }
     uintptr_t a = reinterpret_cast<uintptr_t>(p);
     check_registered(a, sizeof(T));
     T out;
@@ -75,11 +87,11 @@ class Ctx {
   template <typename T>
   void store(T* p, T v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    ++td_->stats.stores;
-    if (!td_->is_speculative()) {
+    if (!speculative_) {
       relaxed_store_scalar(p, v);
       return;
     }
+    ++td_->stats.stores;
     uintptr_t a = reinterpret_cast<uintptr_t>(p);
     check_registered(a, sizeof(T));
     if constexpr (kWordSized<T>) {
@@ -103,11 +115,11 @@ class Ctx {
   void load_n(const T* p, T* out, size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
     if (count == 0) return;
-    td_->stats.loads += count;
-    if (!td_->is_speculative()) {
+    if (!speculative_) {
       relaxed_load_bytes(p, out, count * sizeof(T));
       return;
     }
+    td_->stats.loads += count;
     uintptr_t a = reinterpret_cast<uintptr_t>(p);
     check_registered(a, count * sizeof(T));
     td_->sbuf.load_span(a, out, count * sizeof(T));
@@ -118,11 +130,11 @@ class Ctx {
   void store_n(T* p, const T* src, size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
     if (count == 0) return;
-    td_->stats.stores += count;
-    if (!td_->is_speculative()) {
+    if (!speculative_) {
       relaxed_store_bytes(p, src, count * sizeof(T));
       return;
     }
+    td_->stats.stores += count;
     uintptr_t a = reinterpret_cast<uintptr_t>(p);
     check_registered(a, count * sizeof(T));
     td_->sbuf.store_span(a, src, count * sizeof(T));
@@ -139,7 +151,7 @@ class Ctx {
   // loops and before calls so a speculative thread notices abort signals
   // promptly (paper IV-E).
   void check_point() {
-    if (!td_->is_speculative()) return;
+    if (!speculative_) return;
     SyncStatus s = td_->sync_status.load(std::memory_order_acquire);
     if (s == SyncStatus::kNoSync) {
       throw SpecAbort{"NOSYNC received at check point"};
@@ -186,6 +198,9 @@ class Ctx {
 
   Runtime* rt_;
   ThreadData* td_;
+  // The thread's role, fixed at construction: a Ctx belongs to one
+  // ThreadData, whose rank never changes.
+  bool speculative_;
   // The manager's address-space epoch, bumped on every unregistration.
   const std::atomic<uint64_t>* space_epoch_;
   // Cache of recent address-space lookups, so the hot path never takes the
@@ -202,6 +217,60 @@ class Ctx {
   // Address-space epoch the cache entries were filled under; a mismatch
   // (some region was unregistered since) flushes them.
   uint64_t span_epoch_ = 0;
+};
+
+// Context of the non-speculative thread with no speculative path: every
+// access is the relaxed atomic that Ctx's non-speculative path takes, with
+// no role test and no counter, so a loop body instantiated with it
+// compiles close to the sequential loop. The atomics stay because
+// speculative threads read the same words concurrently (first-touch and
+// validation reads); they cost adjacent loads their merging into one
+// vector load.
+//
+// A NativeCtx converts to the Ctx it was made from, so a native body can
+// still fork, nest a loop or call code that takes Ctx&; those paths run as
+// they do on the non-speculative Ctx.
+class NativeCtx {
+ public:
+  explicit NativeCtx(Ctx& ctx) : ctx_(&ctx) {
+    MUTLS_CHECK(!ctx.speculative(),
+                "a NativeCtx serves the non-speculative thread only");
+  }
+
+  static constexpr bool speculative() { return false; }
+  static constexpr int rank() { return 0; }
+
+  template <typename T>
+  T load(const T* p) const {
+    static_assert(std::is_trivially_copyable_v<T>);
+    return relaxed_load_scalar(p);
+  }
+  template <typename T>
+  void store(T* p, T v) const {
+    static_assert(std::is_trivially_copyable_v<T>);
+    relaxed_store_scalar(p, v);
+  }
+  template <typename T>
+  void load_n(const T* p, T* out, size_t count) const {
+    static_assert(std::is_trivially_copyable_v<T>);
+    relaxed_load_bytes(p, out, count * sizeof(T));
+  }
+  template <typename T>
+  void store_n(T* p, const T* src, size_t count) const {
+    static_assert(std::is_trivially_copyable_v<T>);
+    relaxed_store_bytes(p, src, count * sizeof(T));
+  }
+  template <typename T>
+  void add(T* p, T v) const {
+    store(p, static_cast<T>(load(p) + v));
+  }
+  // Nothing can abort the non-speculative thread.
+  void check_point() const {}
+
+  operator Ctx&() const { return *ctx_; }
+
+ private:
+  Ctx* ctx_;
 };
 
 }  // namespace mutls

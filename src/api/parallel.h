@@ -13,14 +13,21 @@
 //    the tree-form fork so a new scenario needs no protocol code at all.
 //
 // `spec_for` puts the calling thread to work. It runs a prefix of the
-// chunks itself — natively when it is the non-speculative thread — while
-// up to `num_cpus` detached speculations ("pieces") run contiguous runs of
-// the remaining chunks, in order. Where the prefix ends and each piece
-// starts (the "cuts") is learned per loop site: after every call in which
-// all pieces committed, the cuts move toward equal finish times, so a loop
-// whose speculative chunks run several times slower than native ones
-// hands most chunks to the caller, and a loop with uneven chunk costs gets
-// cuts that split the cost rather than the chunk count.
+// chunks itself while up to `num_cpus` detached speculations ("pieces")
+// run contiguous runs of the remaining chunks, in order. Where the prefix
+// ends and each piece starts (the "cuts") is learned per loop site: after
+// every call in which all pieces committed, the cuts move toward equal
+// finish times, so a loop whose speculative chunks run several times
+// slower than native ones hands most chunks to the caller, and a loop with
+// uneven chunk costs gets cuts that split the cost rather than the chunk
+// count.
+//
+// Loop bodies are best written generic in their context (`[&](auto& c,
+// ...)`): the pieces then run the body with a `Ctx`, and a non-speculative
+// caller runs its chunks with a `NativeCtx`, which has no speculative path
+// compiled in. These are the paper's two versions of a speculated region
+// (IV-C, step 1), as two instantiations of one body. A body that takes
+// `Ctx&` works as well; the caller then runs it through its Ctx.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +35,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "api/ctx.h"
@@ -127,9 +135,16 @@ class LoopBalance {
 
 // The loop driver (the paper's loop pattern, section II, run with the
 // mixed model's out-of-order forks and LIFO joins, IV-F): splits
-// [begin, end) into `chunks` contiguous chunks and calls body(ctx,
+// [begin, end) into `chunks` contiguous chunks and calls body(c,
 // chunk_index, lo, hi) once per chunk, in chunk order as far as the result
 // can tell, with a check point after every chunk.
+//
+// The context c. Pieces pass their Ctx, and so does a speculative caller:
+// nested inside a speculated region every chunk sees a Ctx. A
+// non-speculative caller passes a NativeCtx whenever the body is invocable
+// with one; a body that takes Ctx& is too, and gets the caller's Ctx
+// through NativeCtx's conversion. The choice is made from the body's type
+// and the caller's role only.
 //
 // The schedule. With n = min(num_cpus, chunks - 1) pieces, the caller owns
 // chunks [0, c1) and piece k owns [c_k, c_{k+1}). The pieces are forked
@@ -167,7 +182,6 @@ void spec_for(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end, int chunks,
   struct Schedule {
     int64_t begin, end;
     int chunks;
-    const BodyFn& body;
     uint64_t t0;
     int bound[LoopBalance::kMaxPieces + 2] = {};
     // Per segment, ns since t0. A piece writes its own entries on its
@@ -175,21 +189,35 @@ void spec_for(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end, int chunks,
     // join, which orders the writes.
     uint64_t start[LoopBalance::kMaxPieces + 1] = {};
     uint64_t finish[LoopBalance::kMaxPieces + 1] = {};
-
-    void run(Ctx& c, int s) {
-      start[s] = now_ns() - t0;
-      for (int i = bound[s]; i < bound[s + 1]; ++i) {
-        body(c, i, begin + (end - begin) * i / chunks,
-             begin + (end - begin) * (i + 1) / chunks);
-        c.check_point();
-      }
-      finish[s] = now_ns() - t0;
-    }
   };
   const int pieces =
       std::min({rt.num_cpus(), chunks - 1, LoopBalance::kMaxPieces});
-  Schedule w{begin, end, chunks, body, now_ns()};
+  Schedule w{begin, end, chunks, now_ns()};
   site.bounds(pieces, chunks, w.bound);
+
+  // Runs segment s on context c: the body's speculative version on a
+  // piece's Ctx, its native version on the caller's NativeCtx.
+  auto run = [&w, &body](auto& c, int s) {
+    w.start[s] = now_ns() - w.t0;
+    for (int i = w.bound[s]; i < w.bound[s + 1]; ++i) {
+      body(c, i, w.begin + (w.end - w.begin) * i / w.chunks,
+           w.begin + (w.end - w.begin) * (i + 1) / w.chunks);
+      c.check_point();
+    }
+    w.finish[s] = now_ns() - w.t0;
+  };
+  // The caller's segments: its prefix, and every piece it re-runs.
+  auto run_here = [&](int s) {
+    if constexpr (std::is_invocable_v<const BodyFn&, NativeCtx&, int,
+                                      int64_t, int64_t>) {
+      if (!ctx.speculative()) {
+        NativeCtx native(ctx);
+        run(native, s);
+        return;
+      }
+    }
+    run(ctx, s);
+  };
 
   ThreadData& td = ctx.thread_data();
   const size_t base = td.children.size();
@@ -202,10 +230,10 @@ void spec_for(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end, int chunks,
                            ForkOpts{.model = model,
                                     .tag = static_cast<uint64_t>(k),
                                     .detached = true},
-                           [&w, k](Ctx& c) { w.run(c, k); })
+                           [&run, k](Ctx& c) { run(c, k); })
                        .speculated();
     }
-    w.run(ctx, 0);
+    run_here(0);
     for (int k = 1; k <= pieces; ++k) {
       bool committed = false;
       if (granted[k]) {
@@ -223,7 +251,7 @@ void spec_for(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end, int chunks,
       }
       if (!committed) {
         clean = false;
-        w.run(ctx, k);
+        run_here(k);
       }
     }
   } catch (...) {
@@ -262,8 +290,9 @@ inline int resolve_chunks(const Runtime& rt, const LoopOpts& opts) {
   return opts.chunks > 0 ? opts.chunks : 2 * rt.num_cpus();
 }
 
-// Chunk-wise parallel loop: body(ctx, chunk_index, lo, hi) over [begin,
-// end) split into opts.chunks chunks, run by spec_for's schedule.
+// Chunk-wise parallel loop: body(c, chunk_index, lo, hi) over [begin,
+// end) split into opts.chunks chunks, run by spec_for's schedule (which
+// also picks the context c).
 template <typename BodyFn>
 void for_each_chunk(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end,
                     const LoopOpts& opts, const BodyFn& body) {
@@ -271,12 +300,16 @@ void for_each_chunk(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end,
            opts.fork_latency, opts.fork_ns_scratch);
 }
 
-// Element-wise parallel loop: body(ctx, i) for every i in [begin, end).
+// Element-wise parallel loop: body(c, i) for every i in [begin, end). The
+// chunk wrapper takes whatever context the body takes, so spec_for sees
+// the body's own constraint.
 template <typename BodyFn>
 void for_each(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end,
               const LoopOpts& opts, const BodyFn& body) {
   for_each_chunk(rt, ctx, begin, end, opts,
-                 [&](Ctx& c, int, int64_t lo, int64_t hi) {
+                 [&]<typename C>(C& c, int, int64_t lo, int64_t hi)
+                   requires std::is_invocable_v<const BodyFn&, C&, int64_t>
+                 {
                    int64_t since = 0;
                    for (int64_t i = lo; i < hi; ++i) {
                      body(c, i);
@@ -289,7 +322,8 @@ void for_each(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end,
                  });
 }
 
-// Parallel reduction: combine(init, map(ctx, i) for i in [begin, end)).
+// Parallel reduction: combine(init, map(c, i) for i in [begin, end)), with
+// c chosen as for for_each.
 // `init` must be the identity of `combine` (0 for +, +inf for min, ...):
 // each chunk starts its accumulator from it. Chunk partials land in a
 // registered scratch array (one slot per chunk, no conflicts) and are
@@ -322,7 +356,9 @@ T reduce(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end,
   o.chunks = resolve_chunks(rt, opts);
   SharedArray<T> partial(rt, static_cast<size_t>(o.chunks), init);
   for_each_chunk(rt, ctx, begin, end, o,
-                 [&](Ctx& c, int chunk, int64_t lo, int64_t hi) {
+                 [&]<typename C>(C& c, int chunk, int64_t lo, int64_t hi)
+                   requires std::is_invocable_v<const MapFn&, C&, int64_t>
+                 {
                    T acc = init;
                    int64_t since = 0;
                    for (int64_t i = lo; i < hi; ++i) {

@@ -7,8 +7,12 @@
 // reference syntax instead: a `SharedRef<T>` (usually obtained by indexing
 // a `SharedSpan<T>`) converts to T on read and routes assignment and
 // compound assignment through the owning context, so workloads write
-// `a[i] += x` and the proxy picks the speculative buffer map or the relaxed
-// direct path automatically.
+// `a[i] += x` and the context picks the path: a `Ctx` the speculative
+// buffer map or the relaxed direct path by its thread's role, a
+// `NativeCtx` the relaxed direct path always. A view takes its context
+// type from the context it is bound to (`SharedRef<T, C>`,
+// `SharedSpan<T, C>`, C = Ctx by default), so one generic loop body serves
+// both.
 //
 //   SharedArray<double> arr(rt, n);        // RAII registration (IV-G1)
 //   rt.run([&](Ctx& ctx) {
@@ -32,10 +36,10 @@ namespace mutls {
 // cheap (two pointers); reading converts to T, writing routes through the
 // context. Note `auto x = span[i]` deduces SharedRef — write `T x = span[i]`
 // (or use get()) to read a value out.
-template <typename T>
+template <typename T, typename C = Ctx>
 class SharedRef {
  public:
-  SharedRef(Ctx& ctx, T* p) : ctx_(&ctx), p_(p) {}
+  SharedRef(C& ctx, T* p) : ctx_(&ctx), p_(p) {}
 
   operator T() const { return ctx_->load(p_); }
   T get() const { return ctx_->load(p_); }
@@ -70,28 +74,28 @@ class SharedRef {
   T* raw() const { return p_; }
 
  private:
-  Ctx* ctx_;
+  C* ctx_;
   T* p_;
 };
 
 // Terse view constructor for one-off accesses on computed addresses:
 //   shared(ctx, p.at(i, j)) = acc;
-template <typename T>
-SharedRef<T> shared(Ctx& ctx, T* p) {
-  return SharedRef<T>(ctx, p);
+template <typename T, typename C>
+SharedRef<T, C> shared(C& ctx, T* p) {
+  return SharedRef<T, C>(ctx, p);
 }
 
 // Context-bound view over a contiguous run of registered memory. Indexing
 // yields routed SharedRef proxies.
-template <typename T>
+template <typename T, typename C = Ctx>
 class SharedSpan {
  public:
-  SharedSpan(Ctx& ctx, T* data, size_t size)
+  SharedSpan(C& ctx, T* data, size_t size)
       : ctx_(&ctx), data_(data), size_(size) {}
 
-  SharedRef<T> operator[](size_t i) const {
+  SharedRef<T, C> operator[](size_t i) const {
     MUTLS_DCHECK(i < size_, "SharedSpan index out of range");
-    return SharedRef<T>(*ctx_, data_ + i);
+    return SharedRef<T, C>(*ctx_, data_ + i);
   }
 
   // Bulk transfers: move `count` elements starting at `offset` through the
@@ -116,10 +120,10 @@ class SharedSpan {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   T* data() const { return data_; }
-  Ctx& ctx() const { return *ctx_; }
+  C& ctx() const { return *ctx_; }
 
  private:
-  Ctx* ctx_;
+  C* ctx_;
   T* data_;
   size_t size_;
 };
@@ -136,7 +140,10 @@ class Shared {
   Shared(const Shared&) = delete;
   Shared& operator=(const Shared&) = delete;
 
-  SharedRef<T> ref(Ctx& ctx) { return SharedRef<T>(ctx, &v_); }
+  template <typename C>
+  SharedRef<T, C> ref(C& ctx) {
+    return SharedRef<T, C>(ctx, &v_);
+  }
   // Direct access for use outside runs (setup / verification).
   T value() const { return v_; }
   T* raw() { return &v_; }
@@ -164,12 +171,14 @@ class SharedArray {
   SharedArray(const SharedArray&) = delete;
   SharedArray& operator=(const SharedArray&) = delete;
 
-  SharedSpan<T> span(Ctx& ctx) {
-    return SharedSpan<T>(ctx, data_.data(), data_.size());
+  template <typename C>
+  SharedSpan<T, C> span(C& ctx) {
+    return SharedSpan<T, C>(ctx, data_.data(), data_.size());
   }
-  SharedRef<T> at(Ctx& ctx, size_t i) {
+  template <typename C>
+  SharedRef<T, C> at(C& ctx, size_t i) {
     MUTLS_DCHECK(i < data_.size(), "SharedArray index out of range");
-    return SharedRef<T>(ctx, data_.data() + i);
+    return SharedRef<T, C>(ctx, data_.data() + i);
   }
 
   T* data() { return data_.data(); }

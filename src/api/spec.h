@@ -400,7 +400,10 @@ class Runtime {
 };
 
 inline Ctx::Ctx(Runtime& rt, ThreadData& td)
-    : rt_(&rt), td_(&td), space_epoch_(&rt.manager().space_epoch()) {}
+    : rt_(&rt),
+      td_(&td),
+      speculative_(td.is_speculative()),
+      space_epoch_(&rt.manager().space_epoch()) {}
 
 // RAII speculation scope: holds the join obligation of one fork. Leaving
 // scope normally joins (commit, or inline re-execution on rollback);

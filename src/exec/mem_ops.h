@@ -6,8 +6,8 @@
 // Non-speculative threads access host memory directly through relaxed
 // atomics (TSan-clean against concurrent speculative first-touch reads);
 // speculative threads go through the slot's SpecBuffer with the aligned
-// fast path for word-sized accesses. A wild address or a doomed buffer
-// unwinds the task with SpecAbort.
+// fast path for word-sized accesses, and only they count their accesses.
+// A wild address or a doomed buffer unwinds the task with SpecAbort.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +31,13 @@ inline void check_space(ThreadManager& mgr, ThreadData& td, uint64_t addr,
 
 inline void load_mem(ThreadManager& mgr, ThreadData& td, uint64_t addr,
                      void* out, size_t n) {
-  ++td.stats.loads;
   if (!td.is_speculative()) {
     for (size_t i = 0; i < n; ++i) {
       static_cast<uint8_t*>(out)[i] = atomic_byte_load(addr + i);
     }
     return;
   }
+  ++td.stats.loads;
   check_space(mgr, td, addr, n);
   if (word_sized_aligned(addr, n)) {
     uint64_t raw;
@@ -54,13 +54,13 @@ inline void load_mem(ThreadManager& mgr, ThreadData& td, uint64_t addr,
 
 inline void store_mem(ThreadManager& mgr, ThreadData& td, uint64_t addr,
                       const void* src, size_t n) {
-  ++td.stats.stores;
   if (!td.is_speculative()) {
     for (size_t i = 0; i < n; ++i) {
       atomic_byte_store(addr + i, static_cast<const uint8_t*>(src)[i]);
     }
     return;
   }
+  ++td.stats.stores;
   check_space(mgr, td, addr, n);
   if (word_sized_aligned(addr, n)) {
     uint64_t raw = 0;

@@ -2,8 +2,8 @@
 //
 // These feed every figure of the paper's evaluation: speedups come from
 // wall time, Figures 5-9 from the TimeLedger categories, Table II's memory
-// access density from the load/store counters, and the coverage/power
-// metrics from the runtime sums.
+// access density from the speculative load/store counters, and the
+// coverage/power metrics from the runtime sums.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +16,9 @@ namespace mutls {
 struct ThreadStats {
   TimeLedger ledger;
 
+  // Shared accesses, counted by speculative threads only: the
+  // non-speculative thread's accesses take the uncounted direct path, so
+  // RunStats::critical reads 0 here.
   uint64_t loads = 0;
   uint64_t stores = 0;
   uint64_t forks = 0;        // successful speculations
@@ -89,11 +92,15 @@ struct RunStats {
                : 0.0;
   }
 
-  // Memory access density rho = Nrw / T (accesses per second), Table II.
+  // Memory access density rho = Nrw / T (accesses per second), Table II,
+  // taken from the speculative threads, the only ones that count their
+  // accesses: Nrw is their loads and stores, T the time they spent running
+  // their regions (work and wasted work, so the barrier wait and the
+  // protocol's own time are left out). 0 when no speculation ran.
   double access_density() const {
-    uint64_t n = critical.loads + critical.stores + speculative.loads +
-                 speculative.stores;
-    uint64_t t = critical.runtime_ns;
+    uint64_t n = speculative.loads + speculative.stores;
+    uint64_t t = speculative.ledger.get(TimeCat::kWork) +
+                 speculative.ledger.get(TimeCat::kWastedWork);
     return t ? static_cast<double>(n) / (static_cast<double>(t) * 1e-9) : 0.0;
   }
 };

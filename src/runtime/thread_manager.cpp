@@ -94,6 +94,11 @@ ThreadManager::ThreadManager(const ManagerConfig& config)
 }
 
 ThreadManager::~ThreadManager() {
+  // A worker waiting at its barrier spins on sync_status and never reads
+  // shutdown, so discard what the root left live first: a user that
+  // destroys the manager without joining gets its speculations dropped,
+  // not a hang. Their subtrees go with them.
+  nosync_children(root_);
   for (auto& cp : cpus_) {
     cp->shutdown.store(true, std::memory_order_seq_cst);
     {

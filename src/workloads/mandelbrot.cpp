@@ -41,8 +41,8 @@ SpecRun Mandelbrot::run_spec(Runtime& rt, const Params& p, ForkModel model) {
         rt, ctx, 0, p.height,
         par::LoopOpts{.chunks = p.chunks, .model = model,
                       .checkpoint_every = 1},
-        [&](Ctx& c, int64_t y) {
-          SharedSpan<int> out = img.span(c);
+        [&](auto& c, int64_t y) {
+          auto out = img.span(c);
           double ci = p.y0 + (p.y1 - p.y0) * static_cast<double>(y) /
                                  p.height;
           // Compute the row into private scratch and publish it with one

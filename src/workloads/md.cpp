@@ -95,9 +95,9 @@ SpecRun MolecularDynamics::run_spec(Runtime& rt, const Params& p,
           rt, ctx, 0, p.n,
           par::LoopOpts{.chunks = p.chunks, .model = model,
                         .checkpoint_every = 1},
-          [&](Ctx& c, int64_t i) {
-            SharedSpan<double> ps = pos.span(c);
-            SharedSpan<double> fs = force.span(c);
+          [&](auto& c, int64_t i) {
+            auto ps = pos.span(c);
+            auto fs = force.span(c);
             double f[3];
             force_on(static_cast<int>(i), p.n,
                      [&](int k) -> double {

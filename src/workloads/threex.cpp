@@ -21,7 +21,7 @@ SpecRun ThreeX::run_spec(Runtime& rt, const Params& p, ForkModel model) {
                       .model = model,
                       .checkpoint_every = 0x10000},
         uint64_t{0},
-        [](Ctx&, int64_t i) { return trajectory(static_cast<uint64_t>(i)); });
+        [](auto&, int64_t i) { return trajectory(static_cast<uint64_t>(i)); });
   });
   double secs = sw.elapsed_sec();
   return SpecRun{hash_mix(hash_begin(), total), secs, stats};

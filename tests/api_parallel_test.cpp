@@ -2,13 +2,15 @@
 // forking models, divide_and_conquer (with and without a combine step),
 // pipeline (independent and cross-item-dependent stages), and exactness
 // under injected rollbacks; spec_for's schedule (caller prefix, contiguous
-// pieces, per-site balance) and its exception paths.
+// pieces, per-site balance), the context type each chunk runs with, and
+// its exception paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mutls/mutls.h"
@@ -626,6 +628,193 @@ TEST(LoopSchedule, SitesKeepSeparateRecordsAndStartCold) {
       EXPECT_EQ(segs[static_cast<size_t>(s)].hi, (s + 1) * kChunks / 3);
     }
   });
+}
+
+// --- the caller's native version -------------------------------------------
+//
+// A generic body is instantiated twice: with Ctx for the pieces and with
+// NativeCtx for the chunks the non-speculative caller runs. Each chunk
+// records, through the context it got, which type that was, so only a
+// committed chunk's record survives.
+
+constexpr int32_t kRanNative = 1;
+constexpr int32_t kRanCtx = 2;
+
+template <typename C>
+int32_t context_kind(const C&) {
+  static_assert(std::is_same_v<C, NativeCtx> || std::is_same_v<C, Ctx>);
+  return std::is_same_v<C, NativeCtx> ? kRanNative : kRanCtx;
+}
+
+// A loop over [0, 10 * chunks) with independent chunks: chunk k stores the
+// sum of its range, the kind of context it ran with and the rank that ran
+// it.
+struct KindLoop {
+  explicit KindLoop(Runtime& rt, int chunks)
+      : chunks(chunks), sum(rt, chunks, 0), kind(rt, chunks, 0),
+        rank(rt, chunks, -1) {}
+
+  RunStats run(Runtime& rt) {
+    return rt.run([&](Ctx& ctx) {
+      spec_for(rt, ctx, 0, 10 * chunks, chunks, ForkModel::kMixed,
+               [&](auto& c, int chunk, int64_t lo, int64_t hi) {
+                 uint64_t s = 0;
+                 for (int64_t i = lo; i < hi; ++i) {
+                   s += static_cast<uint64_t>(i);
+                 }
+                 const size_t k = static_cast<size_t>(chunk);
+                 sum.at(c, k) = s;
+                 kind.at(c, k) = context_kind(c);
+                 rank.at(c, k) = c.rank();
+               });
+    });
+  }
+
+  void expect_exact() const {
+    for (int k = 0; k < chunks; ++k) {
+      uint64_t want = 0;
+      for (int64_t i = 10 * k; i < 10 * (k + 1); ++i) {
+        want += static_cast<uint64_t>(i);
+      }
+      EXPECT_EQ(sum[static_cast<size_t>(k)], want) << "chunk " << k;
+    }
+  }
+
+  int chunks;
+  SharedArray<uint64_t> sum;
+  SharedArray<int32_t> kind, rank;
+};
+
+TEST(NativeCaller, PrefixRunsNativelyAndCommittedPiecesRunCtx) {
+  Runtime rt(small_opts(3));
+  KindLoop loop(rt, 12);
+  for (int call = 0; call < 4; ++call) {
+    RunStats rs = loop.run(rt);
+    loop.expect_exact();
+    ASSERT_GT(rs.critical.forks, 0u);
+    ASSERT_EQ(rs.speculative.rollbacks, 0u);
+    EXPECT_EQ(loop.kind[0], kRanNative) << "the caller runs chunk 0";
+    int pieces_chunks = 0;
+    for (size_t k = 0; k < loop.kind.size(); ++k) {
+      if (loop.rank[k] == 0) {
+        EXPECT_EQ(loop.kind[k], kRanNative) << "call " << call << " chunk "
+                                            << k;
+      } else {
+        EXPECT_EQ(loop.kind[k], kRanCtx) << "call " << call << " chunk " << k;
+        ++pieces_chunks;
+      }
+    }
+    EXPECT_GT(pieces_chunks, 0) << "a committed piece left its chunks";
+  }
+}
+
+TEST(NativeCaller, RolledBackPiecesRerunNatively) {
+  Runtime::Options o = small_opts(3);
+  o.rollback_probability = 1.0;
+  Runtime rt(o);
+  KindLoop loop(rt, 12);
+  RunStats rs = loop.run(rt);
+  loop.expect_exact();
+  EXPECT_GT(rs.speculative.rollbacks, 0u);
+  EXPECT_EQ(rs.speculative.commits, 0u);
+  for (size_t k = 0; k < loop.kind.size(); ++k) {
+    EXPECT_EQ(loop.kind[k], kRanNative) << "chunk " << k;
+    EXPECT_EQ(loop.rank[k], 0) << "chunk " << k;
+  }
+}
+
+TEST(NativeCaller, LoopInsideASpeculatedRegionSeesCtx) {
+  // The region's thread is speculative, so its prefix, its pieces and the
+  // chunks it re-runs all get a Ctx.
+  Runtime rt(small_opts(4));
+  constexpr int kChunks = 8;
+  SharedArray<int32_t> kind(rt, kChunks, 0);
+  JoinOutcome outcome = JoinOutcome::kSequential;
+  rt.run([&](Ctx& ctx) {
+    ScopedSpec region = rt.fork_scoped(ctx, ForkModel::kMixed, [&](Ctx& c) {
+      spec_for(rt, c, 0, kChunks, kChunks, ForkModel::kMixed,
+               [&](auto& cc, int chunk, int64_t, int64_t) {
+                 kind.at(cc, static_cast<size_t>(chunk)) = context_kind(cc);
+               });
+    });
+    outcome = region.join();
+  });
+  ASSERT_EQ(outcome, JoinOutcome::kCommitted)
+      << "the region must run speculatively for this test to mean anything";
+  for (size_t k = 0; k < kind.size(); ++k) {
+    EXPECT_EQ(kind[k], kRanCtx) << "chunk " << k;
+  }
+}
+
+TEST(NativeCaller, NativeBodyNestsALoopAndForks) {
+  // Each chunk nests a loop over its own cells and forks a scoped child
+  // that writes a side cell. In the native instantiation both go through
+  // the NativeCtx's conversion to the caller's Ctx.
+  Runtime rt(small_opts(3));
+  constexpr int kChunks = 6;
+  constexpr int kInner = 8;
+  SharedArray<uint64_t> cell(rt, kChunks * kInner, 0), side(rt, kChunks, 0);
+  SharedArray<int32_t> kind(rt, kChunks, 0);
+  for (int call = 0; call < 3; ++call) {
+    rt.run([&](Ctx& ctx) {
+      spec_for(rt, ctx, 0, kChunks, kChunks, ForkModel::kMixed,
+               [&](auto& c, int chunk, int64_t, int64_t) {
+                 const int64_t base = int64_t{chunk} * kInner;
+                 spec_for(rt, c, base, base + kInner, 4, ForkModel::kMixed,
+                          [&](auto& ic, int, int64_t lo, int64_t hi) {
+                            for (int64_t i = lo; i < hi; ++i) {
+                              cell.at(ic, static_cast<size_t>(i)) =
+                                  static_cast<uint64_t>(i * 7 + call);
+                            }
+                          });
+                 {
+                   ScopedSpec child = rt.fork_scoped(
+                       c, ForkModel::kMixed, [&, chunk](Ctx& fc) {
+                         side.at(fc, static_cast<size_t>(chunk)) =
+                             static_cast<uint64_t>(chunk + call);
+                       });
+                 }
+                 kind.at(c, static_cast<size_t>(chunk)) = context_kind(c);
+               });
+    });
+    for (size_t i = 0; i < cell.size(); ++i) {
+      ASSERT_EQ(cell[i], i * 7 + static_cast<uint64_t>(call)) << i;
+    }
+    for (size_t k = 0; k < side.size(); ++k) {
+      ASSERT_EQ(side[k], k + static_cast<uint64_t>(call)) << k;
+    }
+    EXPECT_EQ(kind[0], kRanNative) << "call " << call;
+  }
+}
+
+TEST(NativeCaller, CtxOnlyBodiesStillRunExactly) {
+  // Bodies that take Ctx& compile through every entry point and keep their
+  // results; on the caller they get the caller's Ctx.
+  Runtime rt(small_opts(3));
+  constexpr int kN = 96;
+  SharedArray<uint64_t> a(rt, kN, 0), b(rt, kN, 0);
+  uint64_t total = 0;
+  rt.run([&](Ctx& ctx) {
+    spec_for(rt, ctx, 0, kN, 8, ForkModel::kMixed,
+             [&](Ctx& c, int, int64_t lo, int64_t hi) {
+               for (int64_t i = lo; i < hi; ++i) {
+                 a.at(c, static_cast<size_t>(i)) = static_cast<uint64_t>(i);
+               }
+             });
+    par::for_each(rt, ctx, 0, kN, {.chunks = 8}, [&](Ctx& c, int64_t i) {
+      SharedSpan<uint64_t> bs = b.span(c);
+      bs[static_cast<size_t>(i)] = static_cast<uint64_t>(2 * i);
+    });
+    total = par::reduce(rt, ctx, 0, kN, {.chunks = 8}, uint64_t{0},
+                        [&](Ctx& c, int64_t i) {
+                          return c.load(a.data() + i) + c.load(b.data() + i);
+                        });
+  });
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(a[static_cast<size_t>(i)], static_cast<uint64_t>(i));
+    ASSERT_EQ(b[static_cast<size_t>(i)], static_cast<uint64_t>(2 * i));
+  }
+  EXPECT_EQ(total, 3u * (kN - 1) * kN / 2);
 }
 
 // --- a loop inside a speculated region, under injected rollback ------------

@@ -92,7 +92,8 @@ TEST(ApiRuntime, RunsWithoutSpeculationStillWork) {
   });
   EXPECT_EQ(data[7], 7);
   EXPECT_EQ(rs.speculative_threads, 0u);
-  EXPECT_EQ(rs.critical.stores, 8u);
+  // Only speculative accesses are counted.
+  EXPECT_EQ(rs.critical.stores, 0u);
 }
 
 TEST(ApiRuntime, NestedSpeculationFormsTree) {
@@ -409,17 +410,24 @@ TEST(ApiRuntime, RollbackInjectionDegradesButStaysCorrect) {
 }
 
 TEST(ApiRuntime, StatsCountAccesses) {
+  // The speculative thread counts its accesses; the non-speculative thread
+  // counts none.
   Runtime rt(small_opts());
   SharedArray<uint64_t> data(rt, 4, 0);
+  bool speculated = false;
   RunStats rs = rt.run([&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
       c.store(&data[1], c.load(&data[0]) + 1);
     });
+    speculated = s.speculated();
     ctx.store(&data[0], uint64_t{0});
     rt.join(ctx, s);
   });
-  EXPECT_GE(rs.critical.stores, 1u);
-  EXPECT_GE(rs.speculative.loads + rs.critical.loads, 1u);
+  ASSERT_TRUE(speculated);
+  EXPECT_EQ(rs.speculative.loads, 1u);
+  EXPECT_EQ(rs.speculative.stores, 1u);
+  EXPECT_EQ(rs.critical.loads, 0u);
+  EXPECT_EQ(rs.critical.stores, 0u);
 }
 
 TEST(ApiRuntime, SequentialEquivalenceUnderChaos) {

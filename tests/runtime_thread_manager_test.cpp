@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "runtime/spec_abort.h"
 #include "tests/backend_param.h"
@@ -625,6 +629,41 @@ TEST(HandoffSpinBudget, ForkJoinWorksAcrossBudgetExtremes) {
     }
     mgr.unregister_space(&cell, sizeof(cell));
   }
+}
+
+// --- teardown with a speculation still live ---
+//
+// A child that finished its task waits at its barrier for a SYNC or a
+// NOSYNC and never reads the shutdown flag, so the manager must discard
+// what the root left live before it shuts the workers down. The check runs
+// in a child process that arms an alarm: a teardown that hangs is killed
+// by SIGALRM and fails the test instead of stalling the suite.
+
+TEST(ThreadManagerDeathTest, TeardownDiscardsUnjoinedSpeculations) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        alarm(10);
+        {
+          ThreadManager mgr(small_config(BufferBackend::kStaticHash, 2));
+          ThreadManager* m = &mgr;
+          std::atomic<bool> ran{false};
+          // One child forks a grandchild it never joins; the root joins
+          // neither. The root waits until the child has run its task, so
+          // the child is at its barrier (or about to be) when the manager
+          // is destroyed, not still waiting to pick the task up.
+          int r = mgr.speculate(mgr.root(), ForkModel::kMixed,
+                                [m, &ran](ThreadData& td) {
+                                  m->speculate(td, ForkModel::kMixed,
+                                               [](ThreadData&) {});
+                                  ran.store(true);
+                                });
+          if (r == 0) std::_Exit(2);
+          while (!ran.load()) std::this_thread::yield();
+        }
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
