@@ -5,12 +5,16 @@
 // Paper shape: above ~8 cores, mixed beats both simple models on almost
 // every benchmark (the occasional in-order exception at mid core counts);
 // out-of-order is capped near 1-2 threads of parallelism.
+//
+// The measured runs compare the models' fork protocols, so every fork must
+// be attempted: they run with adaptive forks off.
 #include "bench/common.h"
 
 int main(int argc, char** argv) {
   using namespace mutls;
   using namespace mutls::bench;
   HarnessArgs args = parse_args(argc, argv);
+  args.adaptive_forks = false;
   auto ws = filter(make_workloads(args), {"fft", "matmult", "nqueen", "tsp"});
 
   if (args.measured) {
@@ -26,6 +30,9 @@ int main(int argc, char** argv) {
         workloads::SpecRun mixed = w.spec(n, ForkModel::kMixed, 0.0);
         workloads::SpecRun in_o = w.spec(n, ForkModel::kInOrder, 0.0);
         workloads::SpecRun ooo = w.spec(n, ForkModel::kOutOfOrder, 0.0);
+        for (const workloads::SpecRun* r : {&mixed, &in_o, &ooo}) {
+          check_checksum(w, r->checksum, seq.checksum);
+        }
         double sm = seq.seconds / mixed.seconds;
         double si = seq.seconds / in_o.seconds;
         double so = seq.seconds / ooo.seconds;

@@ -19,10 +19,12 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
     for (BenchWorkload& w : ws) {
+      const uint64_t want = w.seq().checksum;
       std::printf("%-11s", w.name.c_str());
       for (int n : args.measured_cpus) {
         if (n == 1) continue;
         workloads::SpecRun r = w.spec(n, ForkModel::kMixed, 0.0);
+        check_checksum(w, r.checksum, want);
         std::printf(" %6.3f", r.stats.critical_efficiency());
       }
       std::printf("\n");

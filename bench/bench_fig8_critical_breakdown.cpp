@@ -26,9 +26,11 @@ int main(int argc, char** argv) {
     std::printf("FIG 8 (measured) — critical path breakdown\n");
     print_breakdown_header(args.measured_cpus);
     for (BenchWorkload& w : ws) {
+      const uint64_t want = w.seq().checksum;
       for (int n : args.measured_cpus) {
         if (n == 1) continue;
         workloads::SpecRun r = w.spec(n, ForkModel::kMixed, 0.0);
+        check_checksum(w, r.checksum, want);
         const TimeLedger& l = r.stats.critical.ledger;
         double tot = static_cast<double>(r.stats.critical.runtime_ns);
         auto pct = [&](TimeCat c) {

@@ -27,9 +27,11 @@ int main(int argc, char** argv) {
     std::printf("FIG 9 (measured) — speculative path breakdown\n");
     header();
     for (BenchWorkload& w : ws) {
+      const uint64_t want = w.seq().checksum;
       for (int n : args.measured_cpus) {
         if (n == 1) continue;
         workloads::SpecRun r = w.spec(n, ForkModel::kMixed, 0.0);
+        check_checksum(w, r.checksum, want);
         const TimeLedger& l = r.stats.speculative.ledger;
         double tot = static_cast<double>(r.stats.speculative.runtime_ns);
         if (tot <= 0) continue;

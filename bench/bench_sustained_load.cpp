@@ -5,7 +5,11 @@
 // percentiles (p50/p99/p999 from the HDR-style histogram), the doom/
 // rollback rate, and the per-backend buffer counters. The measured window
 // starts after a warm-up phase and must run allocation-free: alloc_events
-// is reported per cell and a nonzero value fails the run.
+// is reported per cell and a nonzero value fails the run. The fork/join
+// floor measures the protocol, so the runtimes run with adaptive forks off:
+// every batch forks its pieces. A cell that still settles too few forks to
+// reach its share of the floor fails once its window reaches
+// kWindowCap x its duration, instead of running forever.
 //
 // Machine-readable output: one "SUSTAINED key=value ..." line per cell and
 // a final "SUSTAINED_TOTAL ..." line; scripts/bench_json.py parses these
@@ -16,7 +20,8 @@
 //   --duration-s X     measured seconds per cell (default 1.25)
 //   --min-forks N      total fork/join floor across cells (default 1.05M);
 //                      cells keep running past their duration until their
-//                      share of the floor is met
+//                      share of the floor is met, for at most kWindowCap
+//                      times their duration
 //   --cpus N           virtual CPUs per runtime (default 4)
 //   --predict          enable value prediction (default off); the hot-key
 //                      zipf cells are where conflicts — and therefore
@@ -73,6 +78,7 @@ struct Cell {
 };
 
 struct CellResult {
+  bool capped = false;  // the window ended at its cap, short of the floor
   double duration_s = 0;
   uint64_t requests = 0;
   uint64_t forks = 0;
@@ -82,6 +88,11 @@ struct CellResult {
 };
 
 constexpr int kChunks = 16;
+// A measured window ends at this multiple of its duration even when its
+// share of the fork/join floor is not met (the cell then fails). At default
+// sizes on a 4-vCPU host the slowest cell reached its share in 14 s, about
+// 11x its 1.25 s duration.
+constexpr double kWindowCap = 60.0;
 
 CellResult run_cell(const Cell& cell, const Args& args,
                     uint64_t min_forks_per_cell) {
@@ -90,6 +101,7 @@ CellResult run_cell(const Cell& cell, const Args& args,
   o.buffer_log2 = 14;
   o.buffer_backend = cell.backend;
   o.predict_enabled = args.predict;
+  o.adaptive_forks = false;
   Runtime rt(o);
 
   CacheIndex index(rt, /*capacity_log2=*/10);
@@ -158,16 +170,21 @@ CellResult run_cell(const Cell& cell, const Args& args,
 
   // Measured window: duration-based, extended until this cell's share of
   // the fork/join floor is met (the floor is what makes the committed
-  // BENCH_results.json a meaningful steady-state sample).
+  // BENCH_results.json a meaningful steady-state sample), up to its cap.
   const uint64_t start = now_ns();
   const uint64_t deadline =
       start + static_cast<uint64_t>(args.duration_s * 1e9);
+  const uint64_t cap =
+      start + static_cast<uint64_t>(args.duration_s * kWindowCap * 1e9);
   uint64_t batches = 0;
   r.stats = rt.run([&](Ctx& ctx) {
     for (;;) {
-      bool past_deadline = now_ns() >= deadline;
-      uint64_t settled = r.latency.count();
-      if (past_deadline && settled >= min_forks_per_cell) break;
+      const uint64_t now = now_ns();
+      if (now >= deadline && r.latency.count() >= min_forks_per_cell) break;
+      if (now >= cap) {
+        r.capped = true;
+        break;
+      }
       gen.fill(batch);
       r.counters += server.serve_batch(ctx, batch, epoch++, opts);
       ++batches;
@@ -271,6 +288,16 @@ int main(int argc, char** argv) {
                 r.stats.speculative.buffer.predictor_mispredicts),
             static_cast<unsigned long long>(
                 r.stats.speculative.buffer.saved_rollbacks));
+        if (r.capped) {
+          std::fprintf(stderr,
+                       "FAIL: %s %s batch %d settled %llu fork/joins in "
+                       "%.1f s, short of its floor share %llu\n",
+                       buffer_backend_name(backend), skew_name, batch,
+                       static_cast<unsigned long long>(r.latency.count()),
+                       r.duration_s,
+                       static_cast<unsigned long long>(min_forks_per_cell));
+          return 1;
+        }
         total_forks += r.forks;
         total_duration += r.duration_s;
         total_allocs += allocs;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -42,6 +43,10 @@ struct HarnessArgs {
   bool measured = true;
   std::vector<int> measured_cpus;  // total CPUs (incl. non-speculative)
   std::vector<int> sim_cpus = {1, 2, 4, 8, 16, 24, 32, 48, 63, 64};
+  // ManagerConfig::adaptive_forks of every measured runtime. A bench that
+  // compares the fork protocol itself (fig10) turns it off, so every fork
+  // asks for a CPU.
+  bool adaptive_forks = true;
 };
 
 inline HarnessArgs parse_args(int argc, char** argv) {
@@ -76,12 +81,13 @@ struct BenchWorkload {
 };
 
 inline Runtime::Options runtime_opts(int total_cpus, int buffer_log2,
-                                     double rollback_p) {
+                                     double rollback_p, bool adaptive_forks) {
   Runtime::Options o;
   o.num_cpus = std::max(1, total_cpus - 1);
   o.buffer_log2 = buffer_log2;
   o.overflow_cap = 8192;
   o.rollback_probability = rollback_p;
+  o.adaptive_forks = adaptive_forks;
   return o;
 }
 
@@ -90,6 +96,7 @@ inline std::vector<BenchWorkload> make_workloads(const HarnessArgs& a) {
   std::vector<BenchWorkload> ws;
   const bool paper = a.paper;
   const bool quick = a.quick;
+  const bool adaptive = a.adaptive_forks;
 
   {
     ThreeX::Params p;
@@ -99,8 +106,8 @@ inline std::vector<BenchWorkload> make_workloads(const HarnessArgs& a) {
         "3x+1", true, "loop",
         paper ? "40M integers" : "2M integers (paper: 40M)",
         [p] { return ThreeX::run_seq(p); },
-        [p](int cpus, ForkModel m, double rb) {
-          Runtime rt(runtime_opts(cpus, 12, rb));
+        [p, adaptive](int cpus, ForkModel m, double rb) {
+          Runtime rt(runtime_opts(cpus, 12, rb, adaptive));
           return ThreeX::run_spec(rt, p, m);
         },
         [] { return sim::model_threex(); }});
@@ -115,8 +122,8 @@ inline std::vector<BenchWorkload> make_workloads(const HarnessArgs& a) {
         "mandelbrot", true, "loop",
         paper ? "512x512, 80000 iter" : "256x256, 1500 iter (paper: 512x512, 80000)",
         [p] { return Mandelbrot::run_seq(p); },
-        [p](int cpus, ForkModel m, double rb) {
-          Runtime rt(runtime_opts(cpus, 18, rb));
+        [p, adaptive](int cpus, ForkModel m, double rb) {
+          Runtime rt(runtime_opts(cpus, 18, rb, adaptive));
           return Mandelbrot::run_spec(rt, p, m);
         },
         [] { return sim::model_mandelbrot(); }});
@@ -130,8 +137,8 @@ inline std::vector<BenchWorkload> make_workloads(const HarnessArgs& a) {
         "md", true, "loop",
         paper ? "256 particles, 400 steps" : "96 particles, 40 steps (paper: 256/400)",
         [p] { return MolecularDynamics::run_seq(p); },
-        [p](int cpus, ForkModel m, double rb) {
-          Runtime rt(runtime_opts(cpus, 14, rb));
+        [p, adaptive](int cpus, ForkModel m, double rb) {
+          Runtime rt(runtime_opts(cpus, 14, rb, adaptive));
           return MolecularDynamics::run_spec(rt, p, m);
         },
         [] { return sim::model_md(); }});
@@ -145,8 +152,8 @@ inline std::vector<BenchWorkload> make_workloads(const HarnessArgs& a) {
         "bh", false, "loop",
         paper ? "12800 bodies" : "1024 bodies (paper: 12800)",
         [p] { return BarnesHut::run_seq(p); },
-        [p](int cpus, ForkModel m, double rb) {
-          Runtime rt(runtime_opts(cpus, 17, rb));
+        [p, adaptive](int cpus, ForkModel m, double rb) {
+          Runtime rt(runtime_opts(cpus, 17, rb, adaptive));
           return BarnesHut::run_spec(rt, p, m);
         },
         [] { return sim::model_bh(); }});
@@ -159,8 +166,8 @@ inline std::vector<BenchWorkload> make_workloads(const HarnessArgs& a) {
         "fft", false, "divide and conquer",
         paper ? "2^20 doubles" : "2^16 doubles (paper: 2^20)",
         [p] { return Fft::run_seq(p); },
-        [p, paper](int cpus, ForkModel m, double rb) {
-          Runtime rt(runtime_opts(cpus, paper ? 21 : 18, rb));
+        [p, paper, adaptive](int cpus, ForkModel m, double rb) {
+          Runtime rt(runtime_opts(cpus, paper ? 21 : 18, rb, adaptive));
           return Fft::run_spec(rt, p, m);
         },
         [] { return sim::model_fft(); }});
@@ -174,8 +181,8 @@ inline std::vector<BenchWorkload> make_workloads(const HarnessArgs& a) {
         "matmult", false, "divide and conquer",
         paper ? "1024x1024 doubles" : "128x128 doubles (paper: 1024x1024)",
         [p] { return MatMult::run_seq(p); },
-        [p, paper](int cpus, ForkModel m, double rb) {
-          Runtime rt(runtime_opts(cpus, paper ? 21 : 17, rb));
+        [p, paper, adaptive](int cpus, ForkModel m, double rb) {
+          Runtime rt(runtime_opts(cpus, paper ? 21 : 17, rb, adaptive));
           return MatMult::run_spec(rt, p, m);
         },
         [] { return sim::model_matmult(); }});
@@ -188,8 +195,8 @@ inline std::vector<BenchWorkload> make_workloads(const HarnessArgs& a) {
         "nqueen", false, "depth-first search",
         paper ? "14 queens" : "11 queens (paper: 14)",
         [p] { return NQueen::run_seq(p); },
-        [p](int cpus, ForkModel m, double rb) {
-          Runtime rt(runtime_opts(cpus, 12, rb));
+        [p, adaptive](int cpus, ForkModel m, double rb) {
+          Runtime rt(runtime_opts(cpus, 12, rb, adaptive));
           return NQueen::run_spec(rt, p, m);
         },
         [] { return sim::model_nqueen(); }});
@@ -202,8 +209,8 @@ inline std::vector<BenchWorkload> make_workloads(const HarnessArgs& a) {
         "tsp", false, "depth-first search",
         paper ? "12 cities" : "10 cities (paper: 12)",
         [p] { return Tsp::run_seq(p); },
-        [p](int cpus, ForkModel m, double rb) {
-          Runtime rt(runtime_opts(cpus, 12, rb));
+        [p, adaptive](int cpus, ForkModel m, double rb) {
+          Runtime rt(runtime_opts(cpus, 12, rb, adaptive));
           return Tsp::run_spec(rt, p, m);
         },
         [] { return sim::model_tsp(); }});
@@ -221,8 +228,8 @@ inline std::vector<BenchWorkload> make_workloads(const HarnessArgs& a) {
         "http-serving", false, "loop",
         paper ? "64K requests, Zipf 1.1" : "16K requests, Zipf 1.1",
         [p] { return HttpServing::run_seq(p); },
-        [p](int cpus, ForkModel m, double rb) {
-          Runtime rt(runtime_opts(cpus, 14, rb));
+        [p, adaptive](int cpus, ForkModel m, double rb) {
+          Runtime rt(runtime_opts(cpus, 14, rb, adaptive));
           return HttpServing::run_spec(rt, p, m);
         },
         [p] {
@@ -253,14 +260,17 @@ inline sim::Simulator::Options sim_opts(int total_cpus, ForkModel model,
   return o;
 }
 
+// The oracle check after every speculative run: a checksum that differs
+// from the sequential run's ends the bench with exit status 1.
 inline void check_checksum(const BenchWorkload& w, uint64_t got,
                            uint64_t want) {
   if (got != want) {
     std::fprintf(stderr,
-                 "WARNING: %s speculative checksum mismatch "
+                 "FAIL: %s speculative checksum mismatch "
                  "(%016llx vs %016llx)\n",
                  w.name.c_str(), static_cast<unsigned long long>(got),
                  static_cast<unsigned long long>(want));
+    std::exit(1);
   }
 }
 

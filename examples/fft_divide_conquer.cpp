@@ -27,6 +27,9 @@ int main(int argc, char** argv) {
   o.num_cpus = 4;
   o.buffer_log2 = 18;
   o.rollback_probability = rollback_p;
+  // Every fork asks for a CPU, however little it pays: this example drives
+  // the rollback, cascade and discard paths.
+  o.adaptive_forks = false;
   Runtime rt(o);
   workloads::SpecRun spec = workloads::Fft::run_spec(rt, p, ForkModel::kMixed);
 

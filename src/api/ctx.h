@@ -10,10 +10,11 @@
 //    through the speculative buffer map (paper IV-G2) and is counted; on
 //    the non-speculative thread it takes the relaxed direct path, uncounted.
 //  * `NativeCtx` serves the non-speculative thread only, and has no
-//    speculative path compiled in: each access is one relaxed atomic. It is
-//    what spec_for hands a generic loop body (`[&](auto& c, ...)`) for the
-//    chunks the caller runs, so the same body is instantiated once per
-//    version.
+//    speculative path compiled in: each access is one relaxed atomic. A
+//    generic body (`[&](auto& c, ...)`) gets one wherever the
+//    non-speculative thread runs it (`invoke_on`, below): spec_for's caller
+//    chunks, a fork region deferred to its join, Runtime::run's root. So
+//    the same body is instantiated once per version.
 //
 // load/store/load_n/store_n are the raw MUTLS_load_*/MUTLS_store_*
 // wrappers; application code should prefer the typed views of
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "api/scalar_access.h"
 #include "runtime/memory.h"
@@ -272,5 +274,23 @@ class NativeCtx {
  private:
   Ctx* ctx_;
 };
+
+// Calls f(c, args...) with the context that `ctx`'s thread runs code with:
+// on the non-speculative thread a NativeCtx, when f takes one (a generic
+// body's native version), and ctx itself otherwise. The choice is made
+// from f's type and the thread's role only. spec_for's caller segments,
+// the region a Spec defers to its join and Runtime::run's root all start
+// here.
+template <typename F, typename... Args>
+void invoke_on(Ctx& ctx, F& f, Args&&... args) {
+  if constexpr (std::is_invocable_v<F&, NativeCtx&, Args...>) {
+    if (!ctx.speculative()) {
+      NativeCtx native(ctx);
+      f(native, std::forward<Args>(args)...);
+      return;
+    }
+  }
+  f(ctx, std::forward<Args>(args)...);
+}
 
 }  // namespace mutls

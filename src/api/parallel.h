@@ -28,6 +28,15 @@
 // compiled in. These are the paper's two versions of a speculated region
 // (IV-C, step 1), as two instantiations of one body. A body that takes
 // `Ctx&` works as well; the caller then runs it through its Ctx.
+//
+// A loop site forks only while forking pays. The site's record (LoopSite)
+// holds, besides the cuts, the site's ForkGate ("api/spec.h"): a call that
+// forked lost when its wall time exceeded what the caller alone would have
+// taken, and a site that keeps losing declines. A declined call forks no
+// piece, counts one denied fork per piece, and the caller runs every chunk
+// itself, natively when it is the non-speculative thread.
+// `par::divide_and_conquer` forks through fork_scoped, whose sites judge
+// their forks at the join.
 #pragma once
 
 #include <algorithm>
@@ -49,19 +58,46 @@ namespace mutls {
 
 namespace detail {
 
-// The balance record of one `spec_for` site: one per instantiation,
-// living for the process, so a loop that runs once per program run (or
-// once per Runtime) still starts from what earlier runs learned. Segment 0
-// is the caller's prefix and segment k the k-th piece; cut k, stored as a
+// The record of one `spec_for` site: one per instantiation, living for
+// the process, so a loop that runs once per program run (or once per
+// Runtime) still starts from what earlier runs learned. The e2e driver
+// builds a fresh Runtime per program run, and its warm-up runs train the
+// record. It holds the site's ForkGate, the caller's own ns per chunk as
+// the last declined call measured it, and the cuts. Segment 0 is the
+// caller's prefix and segment k the k-th piece; cut k, stored as a
 // fraction of the chunk range, is where piece k starts. Relaxed atomics:
 // two runtimes calling one site from two threads may interleave their
 // updates, which costs balance, never correctness — every call clamps the
 // cuts it reads into a valid split.
-class LoopBalance {
+class LoopSite {
  public:
   // Pieces per call at most; a loop on more virtual CPUs leaves the rest
   // idle.
   static constexpr int kMaxPieces = 64;
+
+  ForkGate gate;
+
+  // A declined call ran all `chunks` on the caller in `ns`.
+  void record_solo(uint64_t ns, int chunks) {
+    solo_ns_per_chunk_.store(
+        static_cast<float>(static_cast<double>(ns) / chunks),
+        std::memory_order_relaxed);
+  }
+
+  // The verdict of a call that forked and took `wall_ns`: it won when the
+  // caller alone would have taken at least as long, `chunks` times the
+  // caller's own ns per chunk. The rate a declined call measured is
+  // preferred; until one has run, it comes from this call's prefix, which
+  // runs low when chunk costs are uneven.
+  bool won(uint64_t wall_ns, int chunks, const int* bound,
+           const uint64_t* start, const uint64_t* finish) const {
+    double per_chunk = solo_ns_per_chunk_.load(std::memory_order_relaxed);
+    if (per_chunk == 0.0) {
+      per_chunk = static_cast<double>(finish[0] - start[0]) /
+                  static_cast<double>(bound[1] - bound[0]);
+    }
+    return static_cast<double>(wall_ns) <= per_chunk * chunks;
+  }
 
   // Fills bound[0..pieces + 1] with the chunk bounds of the next call:
   // segment s is [bound[s], bound[s + 1]), and every segment gets at least
@@ -129,6 +165,7 @@ class LoopBalance {
  private:
   std::atomic<int> pieces_{0};
   std::atomic<float> cut_[kMaxPieces];
+  std::atomic<float> solo_ns_per_chunk_{0.0f};  // 0: no declined call yet
 };
 
 }  // namespace detail
@@ -155,10 +192,15 @@ class LoopBalance {
 // cascade: each piece is validated against exactly the state its
 // predecessors left, so it stands or falls on its own reads.
 //
-// The cuts come from this instantiation's LoopBalance record (above):
-// equal segments when cold, moved toward equal finish times after every
-// call in which all pieces committed; a rollback or a denied fork leaves
-// them alone.
+// The cuts come from this instantiation's LoopSite record (above): equal
+// segments when cold, moved toward equal finish times after every call in
+// which all pieces committed; a rollback or a denied fork leaves them
+// alone.
+//
+// Whether to fork at all is the record's ForkGate's call. A call whose
+// granted pieces made it slower than the caller alone counts as a loss,
+// and a site that keeps losing is declined: the caller runs every chunk
+// and fork_denied grows by the pieces not forked, until a probe call wins.
 //
 // Fork models: under kInOrder the non-speculative thread may fork only
 // while nothing else is live, so the farthest piece speculates and the
@@ -177,27 +219,39 @@ void spec_for(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end, int chunks,
   if (begin >= end || chunks <= 0) return;
   MUTLS_CHECK(fork_latency == nullptr || fork_ns_scratch != nullptr,
               "latency sampling needs a per-chunk scratch array");
-  using detail::LoopBalance;
-  static LoopBalance site;
+  using detail::LoopSite;
+  using Decision = detail::ForkGate::Decision;
+  static LoopSite site;
   struct Schedule {
     int64_t begin, end;
     int chunks;
     uint64_t t0;
-    int bound[LoopBalance::kMaxPieces + 2] = {};
+    int bound[LoopSite::kMaxPieces + 2] = {};
     // Per segment, ns since t0. A piece writes its own entries on its
     // thread; the caller reads them only after that piece's committed
     // join, which orders the writes.
-    uint64_t start[LoopBalance::kMaxPieces + 1] = {};
-    uint64_t finish[LoopBalance::kMaxPieces + 1] = {};
+    uint64_t start[LoopSite::kMaxPieces + 1] = {};
+    uint64_t finish[LoopSite::kMaxPieces + 1] = {};
   };
-  const int pieces =
-      std::min({rt.num_cpus(), chunks - 1, LoopBalance::kMaxPieces});
+  ThreadData& td = ctx.thread_data();
+  int pieces = std::min({rt.num_cpus(), chunks - 1, LoopSite::kMaxPieces});
+  const Decision d =
+      pieces == 0 ? Decision::kUngated
+                  : site.gate.admit(rt.num_cpus(),
+                                    rt.manager().config().adaptive_forks);
+  if (d == Decision::kDecline) {
+    td.stats.fork_denied += static_cast<uint64_t>(pieces);
+    pieces = 0;
+  }
   Schedule w{begin, end, chunks, now_ns()};
   site.bounds(pieces, chunks, w.bound);
 
   // Runs segment s on context c: the body's speculative version on a
   // piece's Ctx, its native version on the caller's NativeCtx.
-  auto run = [&w, &body](auto& c, int s) {
+  auto run = [&w, &body]<typename C>(C& c, int s)
+               requires std::is_invocable_v<const BodyFn&, C&, int, int64_t,
+                                            int64_t>
+  {
     w.start[s] = now_ns() - w.t0;
     for (int i = w.bound[s]; i < w.bound[s + 1]; ++i) {
       body(c, i, w.begin + (w.end - w.begin) * i / w.chunks,
@@ -207,21 +261,16 @@ void spec_for(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end, int chunks,
     w.finish[s] = now_ns() - w.t0;
   };
   // The caller's segments: its prefix, and every piece it re-runs.
-  auto run_here = [&](int s) {
-    if constexpr (std::is_invocable_v<const BodyFn&, NativeCtx&, int,
-                                      int64_t, int64_t>) {
-      if (!ctx.speculative()) {
-        NativeCtx native(ctx);
-        run(native, s);
-        return;
-      }
-    }
-    run(ctx, s);
-  };
+  auto run_here = [&](int s) { invoke_on(ctx, run, s); };
 
-  ThreadData& td = ctx.thread_data();
+  if (d == Decision::kDecline) {
+    run_here(0);
+    site.record_solo(w.finish[0] - w.start[0], chunks);
+    return;
+  }
   const size_t base = td.children.size();
-  bool granted[LoopBalance::kMaxPieces + 1];
+  bool granted[LoopSite::kMaxPieces + 1];
+  int forked = 0;     // pieces granted a CPU
   bool clean = true;  // every piece granted and committed
   try {
     for (int k = pieces; k >= 1; --k) {
@@ -232,6 +281,7 @@ void spec_for(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end, int chunks,
                                     .detached = true},
                            [&run, k](Ctx& c) { run(c, k); })
                        .speculated();
+      forked += granted[k];
     }
     run_here(0);
     for (int k = 1; k <= pieces; ++k) {
@@ -256,8 +306,15 @@ void spec_for(Runtime& rt, Ctx& ctx, int64_t begin, int64_t end, int chunks,
     }
   } catch (...) {
     // The live pieces run on this frame: discard them before it unwinds.
+    site.gate.no_verdict(d);
     rt.manager().nosync_children(td, base);
     throw;
+  }
+  if (forked == 0) {
+    site.gate.no_verdict(d);
+  } else {
+    site.gate.verdict(d, site.won(now_ns() - w.t0, chunks, w.bound, w.start,
+                                  w.finish));
   }
   if (clean) site.rebalance(pieces, chunks, w.bound, w.start, w.finish);
 }

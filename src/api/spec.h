@@ -29,8 +29,23 @@
 // body)`: plain speculation, live-in prediction (`.predictions`), and the
 // detached loop-piece form (`.tag`/`.detached`) that v1 exposed as three
 // separate entry points (fork / fork_predicted / fork_tagged).
+//
+// Fork only where speculation pays. `Runtime::fork` is MUTLS_speculate:
+// it always asks for a CPU. The structured form `fork_scoped` (and the
+// loop driver spec_for, "api/parallel.h") first asks its site's ForkGate
+// (below) whether the site's speculations have been paying; a site whose
+// forks cost the joiner more than running the region inline declines,
+// and probes again at exponentially spaced calls. A declined fork is a
+// denied one to everything downstream: the handle defers the region to
+// its join, and `ThreadStats::fork_denied` counts it. A region deferred to
+// its join runs on the joining thread through `invoke_on`, so a generic
+// body (`[&](auto& c)`) runs its native version there when that thread is
+// the non-speculative one. ManagerConfig::adaptive_forks = false makes
+// every structured fork ask for a CPU again.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <exception>
@@ -94,6 +109,118 @@ struct ForkOpts {
   // Spec carries no join obligation; only speculated() is meaningful on it.
   bool detached = false;
 };
+
+namespace detail {
+
+// Whether one structured fork site's speculations pay. A site is a
+// `fork_scoped` body type or a `spec_for` instantiation, and each keeps one
+// gate (spec_for's sits in its LoopSite record, beside the cuts). The gate
+// lives for the process, as spec_for's cuts do: a program that builds a
+// fresh Runtime per run still starts from what its earlier runs learned.
+// The e2e driver does exactly that, and its warm-up runs train the gate.
+// Relaxed atomics: calls of one site from several threads may interleave
+// their updates, which costs the policy accuracy, never correctness.
+//
+// Every call that forked and was granted a CPU gives one verdict, won or
+// lost (the rules are fork_scoped's and spec_for's); a denied fork gives
+// none. The score counts wins minus losses, saturating at ±kScoreLimit, and
+// at -kScoreLimit the site closes. A closed site declines every call but
+// one probe, which forks after kFirstGap declined calls, then after twice
+// as many, up to kMaxGap; the probe's single verdict reopens the site or
+// doubles the gap. A gate trained under another num_cpus restarts open.
+class ForkGate {
+ public:
+  static constexpr int kScoreLimit = 4;
+  static constexpr int kFirstGap = 2;
+  static constexpr int kMaxGap = 1024;
+
+  enum class Decision {
+    kFork,     // the site is open: fork, and judge the call
+    kProbe,    // the site is closed, and this call probes it
+    kDecline,  // the site is closed: do not fork
+    kUngated,  // adaptive forks are off: fork, and judge nothing
+  };
+
+  // Decides one call of the site. `adaptive` is the runtime's
+  // ManagerConfig::adaptive_forks; without it every call forks and the
+  // gate is left as it was.
+  Decision admit(int num_cpus, bool adaptive) {
+    if (!adaptive) return Decision::kUngated;
+    if (cpus_.load(std::memory_order_relaxed) != num_cpus) {
+      score_.store(0, std::memory_order_relaxed);
+      gap_.store(0, std::memory_order_relaxed);
+      probing_.store(false, std::memory_order_relaxed);
+      cpus_.store(num_cpus, std::memory_order_relaxed);
+    }
+    const int gap = gap_.load(std::memory_order_relaxed);
+    if (gap == 0) return Decision::kFork;
+    // One probe at a time: calls made while it runs, its own nested calls
+    // among them, decline without counting toward the next one.
+    if (probing_.load(std::memory_order_relaxed)) return Decision::kDecline;
+    if (declined_.fetch_add(1, std::memory_order_relaxed) < gap) {
+      return Decision::kDecline;
+    }
+    declined_.store(0, std::memory_order_relaxed);
+    probing_.store(true, std::memory_order_relaxed);
+    return Decision::kProbe;
+  }
+
+  // The verdict of a call admitted as `d` that was granted a CPU.
+  void verdict(Decision d, bool won) {
+    if (d == Decision::kUngated) return;
+    if (d == Decision::kProbe) {
+      if (won) {
+        score_.store(0, std::memory_order_relaxed);
+        gap_.store(0, std::memory_order_relaxed);
+      } else {
+        gap_.store(std::min(2 * gap_.load(std::memory_order_relaxed), kMaxGap),
+                   std::memory_order_relaxed);
+      }
+      probing_.store(false, std::memory_order_relaxed);
+      return;
+    }
+    // A fork admitted while the site was open, judged after it closed.
+    if (gap_.load(std::memory_order_relaxed) != 0) return;
+    int s = score_.load(std::memory_order_relaxed);
+    s = won ? std::min(s + 1, kScoreLimit) : std::max(s - 1, -kScoreLimit);
+    if (s == -kScoreLimit) {
+      s = 0;
+      declined_.store(0, std::memory_order_relaxed);
+      gap_.store(kFirstGap, std::memory_order_relaxed);
+    }
+    score_.store(s, std::memory_order_relaxed);
+  }
+
+  // A call admitted as `d` that gives no verdict: no CPU was granted, or
+  // the region was abandoned. A probe's turn passes to the next call.
+  void no_verdict(Decision d) {
+    if (d != Decision::kProbe) return;
+    declined_.store(gap_.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+    probing_.store(false, std::memory_order_relaxed);
+  }
+
+  bool open() const { return gap() == 0; }
+  // Declined calls before the next probe; 0 while the site is open.
+  int gap() const { return gap_.load(std::memory_order_relaxed); }
+  int score() const { return score_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<int> cpus_{0};
+  std::atomic<int> score_{0};
+  std::atomic<int> gap_{0};
+  std::atomic<int> declined_{0};  // since the site closed or last probed
+  std::atomic<bool> probing_{false};
+};
+
+// The gate of the fork_scoped site whose body has type Body.
+template <typename Body>
+ForkGate& fork_gate() {
+  static ForkGate gate;
+  return gate;
+}
+
+}  // namespace detail
 
 // Handle of one speculation attempt; also carries the speculated region so
 // join() can execute it inline when speculation failed or rolled back.
@@ -159,6 +286,17 @@ class Spec {
 
  private:
   friend class Runtime;
+
+  // Keeps a copy of the region for join, which runs it inline when the fork
+  // was denied, declined or rolled back. It runs on the joining thread
+  // through invoke_on, natively on the non-speculative thread when the
+  // body takes a NativeCtx.
+  template <typename F>
+  void keep_region(Ctx& ctx, const F& body) {
+    task_.emplace([b = body](Ctx& c) mutable { invoke_on(c, b); },
+                  &ctx.thread_data().arena);
+  }
+
   ChildRef ref_;
   bool speculated_ = false;
   bool detached_ = false;
@@ -223,7 +361,7 @@ class Runtime {
     // is emplaced by speculate() into the *child's* arena. Neither touches
     // the global heap at steady state. A detached handle keeps none: join()
     // rejects it, and a denied detached fork is the caller's to continue.
-    if (!opts.detached) s.task_.emplace(body, &ctx.thread_data().arena);
+    if (!opts.detached) s.keep_region(ctx, body);
     s.predictions_ = std::move(opts.predictions);
     const PredictionList& predictions = s.predictions_;
     const uint64_t tag = opts.tag;
@@ -265,6 +403,9 @@ class Runtime {
   // RAII forms of the above: the returned ScopedSpec joins when it leaves
   // scope (or discards the speculation when leaving scope by exception),
   // turning a missing join from a runtime CHECK into scope discipline.
+  // Unlike fork(), fork_scoped asks the site's ForkGate first, the site
+  // being the body's type. A declined fork returns a deferred handle,
+  // exactly as a denied one does, and counts in fork_denied.
   template <typename F>
   ScopedSpec fork_scoped(Ctx& ctx, ForkOpts opts, F&& body);
   template <typename F>
@@ -354,13 +495,15 @@ class Runtime {
   }
 
   // Runs `f` as the non-speculative thread of one measured region and
-  // returns the aggregated statistics of the run.
+  // returns the aggregated statistics of the run. A generic `f`
+  // (`[&](auto& ctx)`) gets a NativeCtx, like every region the
+  // non-speculative thread runs; one that takes Ctx& gets the root's Ctx.
   template <typename F>
   RunStats run(F&& f) {
     mgr_.begin_run();
     Ctx root(*this, mgr_.root());
     try {
-      f(root);
+      invoke_on(root, f);
     } catch (...) {
       // The region was abandoned. Discard what the root still has live, or
       // those workers would wait at their barriers for a SYNC that never
@@ -425,7 +568,11 @@ class ScopedSpec {
         s_(std::move(o.s_)),
         active_(o.active_),
         outcome_(o.outcome_),
-        unwind_depth_(o.unwind_depth_) {
+        unwind_depth_(o.unwind_depth_),
+        gate_(o.gate_),
+        decision_(o.decision_),
+        fork_ns_(o.fork_ns_),
+        fork_idle_ns_(o.fork_idle_ns_) {
     o.active_ = false;
   }
   ScopedSpec(const ScopedSpec&) = delete;
@@ -439,11 +586,12 @@ class ScopedSpec {
     active_ = false;
     if (std::uncaught_exceptions() > unwind_depth_) {
       // Unwinding: the region this speculation continues was abandoned.
+      if (gate_ != nullptr) gate_->no_verdict(decision_);
       rt_->discard(*ctx_, s_);
       outcome_ = JoinOutcome::kDiscarded;
       return;
     }
-    outcome_ = rt_->join(*ctx_, s_);
+    outcome_ = join_and_judge();
   }
 
   // Early explicit join, for when the result is needed before scope end.
@@ -454,7 +602,7 @@ class ScopedSpec {
                 "join of an inactive ScopedSpec (already joined or moved "
                 "from)");
     active_ = false;
-    outcome_ = rt_->join(*ctx_, s_);
+    outcome_ = join_and_judge();
     return outcome_;
   }
 
@@ -463,19 +611,77 @@ class ScopedSpec {
   JoinOutcome outcome() const { return outcome_; }
 
  private:
+  friend class Runtime;
+
+  uint64_t idle_ns() const {
+    return ctx_->thread_data().stats.ledger.get(TimeCat::kIdle);
+  }
+
+  // Set by fork_scoped on a granted fork: the join owes `gate` a verdict.
+  void await_verdict(detail::ForkGate& gate, detail::ForkGate::Decision d) {
+    gate_ = &gate;
+    decision_ = d;
+    fork_ns_ = now_ns();
+    fork_idle_ns_ = idle_ns();
+  }
+
+  // Joins, then judges the fork when its site awaits a verdict. The fork
+  // lost when the joiner's wait here, plus the inline re-run on rollback,
+  // exceeded the joiner's busy time between the fork and its arrival
+  // here: elapsed time minus the kIdle it accrued meanwhile, waiting at
+  // nested joins. The busy time stands for what the region would have
+  // cost inline, which holds for a split into comparable halves (fft,
+  // matmult, par::divide_and_conquer). Without the idle subtracted, two
+  // halves each slowed by their own nested speculation look like a win.
+  JoinOutcome join_and_judge() {
+    if (gate_ == nullptr) return rt_->join(*ctx_, s_);
+    const uint64_t arrive = now_ns();
+    const uint64_t elapsed = arrive - fork_ns_;
+    const uint64_t idle = idle_ns() - fork_idle_ns_;
+    const uint64_t busy = elapsed > idle ? elapsed - idle : 0;
+    JoinOutcome o;
+    try {
+      o = rt_->join(*ctx_, s_);
+    } catch (...) {
+      gate_->no_verdict(decision_);
+      throw;
+    }
+    gate_->verdict(decision_, now_ns() - arrive <= busy);
+    return o;
+  }
+
   Runtime* rt_;
   Ctx* ctx_;
   Spec s_;
   bool active_ = true;
   JoinOutcome outcome_ = JoinOutcome::kSequential;
   int unwind_depth_;
+  detail::ForkGate* gate_ = nullptr;
+  detail::ForkGate::Decision decision_ = detail::ForkGate::Decision::kFork;
+  uint64_t fork_ns_ = 0;
+  uint64_t fork_idle_ns_ = 0;
 };
 
 template <typename F>
 ScopedSpec Runtime::fork_scoped(Ctx& ctx, ForkOpts opts, F&& body) {
   MUTLS_CHECK(!opts.detached, "a detached fork has no scope to join");
-  Spec s = fork(ctx, std::move(opts), std::forward<F>(body));
-  return ScopedSpec(*this, ctx, std::move(s));
+  using Decision = detail::ForkGate::Decision;
+  detail::ForkGate& gate = detail::fork_gate<std::decay_t<F>>();
+  const Decision d = gate.admit(num_cpus(), mgr_.config().adaptive_forks);
+  if (d == Decision::kDecline) {
+    ++ctx.thread_data().stats.fork_denied;
+    Spec s;
+    s.keep_region(ctx, body);
+    return ScopedSpec(*this, ctx, std::move(s));
+  }
+  ScopedSpec scope(*this, ctx,
+                   fork(ctx, std::move(opts), std::forward<F>(body)));
+  if (!scope.speculated()) {
+    gate.no_verdict(d);
+  } else if (d != Decision::kUngated) {
+    scope.await_verdict(gate, d);
+  }
+  return scope;
 }
 
 template <typename F>

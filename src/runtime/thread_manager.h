@@ -77,6 +77,14 @@ struct ManagerConfig {
   // How long Runtime::run waits for a protocol violation (a fork the user
   // never joined) to drain before CHECK-failing instead of hanging.
   uint64_t missing_join_timeout_ns = 5'000'000'000ull;
+
+  // Structured fork sites (`fork_scoped`, `spec_for`) stop forking where
+  // their speculations cost more than running the region inline, and
+  // probe again at exponentially spaced calls (detail::ForkGate in
+  // "api/spec.h"). Off, every structured fork asks for a CPU, as the raw
+  // Runtime::fork always does: the benches and tests that measure or
+  // exercise the protocol itself turn it off.
+  bool adaptive_forks = true;
 };
 
 // The handoff spin budget a manager with this config will run with: the

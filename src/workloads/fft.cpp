@@ -53,11 +53,16 @@ struct SpecFft {
   // paper's "fork a thread to execute the second recursive call and
   // barrier it after the call": the join happens at scope exit, before the
   // butterfly consumes both halves.
-  void run(Ctx& ctx, double* bre, double* bim, double* ore, double* oim,
+  //
+  // Generic in its context: speculative threads run it with a Ctx, the
+  // non-speculative thread with a NativeCtx — the root, and every region
+  // whose fork the site declined, which the join then runs natively.
+  template <typename C>
+  void run(C& ctx, double* bre, double* bim, double* ore, double* oim,
            size_t n, size_t step, int level) const {
     if (step >= n) return;
     if (level < p.fork_levels) {
-      ScopedSpec s = rt.fork_scoped(ctx, model, [=, this](Ctx& c) {
+      ScopedSpec s = rt.fork_scoped(ctx, model, [=, this](auto& c) {
         run(c, ore + step, oim + step, bre + step, bim + step, n, step * 2,
             level + 1);
       });
@@ -69,7 +74,7 @@ struct SpecFft {
           level + 1);
     }
     ctx.check_point();
-    SharedSpan<double> b_re(ctx, bre, n), b_im(ctx, bim, n),
+    SharedSpan<double, C> b_re(ctx, bre, n), b_im(ctx, bim, n),
         o_re(ctx, ore, n), o_im(ctx, oim, n);
     for (size_t i = 0; i < n; i += 2 * step) {
       double ang = -std::numbers::pi * static_cast<double>(i) /
@@ -122,7 +127,7 @@ SpecRun Fft::run_spec(Runtime& rt, const Params& p, ForkModel model) {
     }
   }
   Stopwatch sw;
-  RunStats stats = rt.run([&](Ctx& ctx) {
+  RunStats stats = rt.run([&](auto& ctx) {
     SpecFft f{rt, p, model};
     f.run(ctx, re.data(), im.data(), sre.data(), sim.data(), n, 1, 0);
   });

@@ -567,6 +567,7 @@ TEST(LoopSchedule, EdgeCasesStayExact) {
   {
     Runtime::Options o = small_opts(3);
     o.rollback_probability = 1.0;
+    o.adaptive_forks = false;  // injected rollbacks would close the site
     Runtime rt(o);
     RunStats rs = checked_sum_loop(rt, 0, 1000, 12);
     EXPECT_EQ(rs.speculative.commits, 0u);
@@ -711,6 +712,7 @@ TEST(NativeCaller, PrefixRunsNativelyAndCommittedPiecesRunCtx) {
 TEST(NativeCaller, RolledBackPiecesRerunNatively) {
   Runtime::Options o = small_opts(3);
   o.rollback_probability = 1.0;
+  o.adaptive_forks = false;  // injected rollbacks would close the site
   Runtime rt(o);
   KindLoop loop(rt, 12);
   RunStats rs = loop.run(rt);
@@ -835,6 +837,7 @@ TEST(LoopInRegion, InjectedRollbackStaysExact) {
       Runtime::Options o = small_opts(4);
       o.rollback_probability = p;
       o.seed = seed;
+      o.adaptive_forks = false;  // injected rollbacks would close the sites
       Runtime rt(o);
       SharedArray<uint64_t> sums(rt, kN, 0);
       SharedArray<uint64_t> side(rt, 1, 0);

@@ -7,6 +7,10 @@
 //   2. the runtime's own alloc_events counter (per-slot Arena heap-fallback
 //      trips, aggregated through SpecBufferStats at settle time) — the
 //      number bench_json.py and the CI budget step watch.
+//
+// The budget is the fork/join protocol's, so every runtime here turns
+// adaptive forks off: each fork_scoped asks for a CPU, whether or not its
+// site would pay.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -116,7 +120,8 @@ SteadyState run_steady(BufferBackend backend, size_t touch) {
   Runtime rt({.num_cpus = 2,
               .buffer_log2 = 8,
               .overflow_cap = 64,
-              .buffer_backend = backend});
+              .buffer_backend = backend,
+              .adaptive_forks = false});
   std::vector<uint64_t> data(touch + 1, 0);
   rt.register_memory(data.data(), data.size() * sizeof(uint64_t));
 
@@ -181,7 +186,8 @@ TEST(AllocBudget, FirstLargeCommitAfterWarmupIsAllocationFree) {
     Runtime rt({.num_cpus = 2,
                 .buffer_log2 = 15,
                 .overflow_cap = 64,
-                .buffer_backend = backend});
+                .buffer_backend = backend,
+                .adaptive_forks = false});
     std::vector<uint64_t> data(kWords, 1);
     rt.register_memory(data.data(), data.size() * sizeof(uint64_t));
     auto one_run = [&](bool doom) {
@@ -217,7 +223,10 @@ TEST(AllocBudget, FirstLargeCommitAfterWarmupIsAllocationFree) {
 // even when bodies capture more than InlineTask's buffer: the spill goes to
 // the forker's/child's arena, warmed after the first epoch.
 TEST(AllocBudget, OversizedCapturesSpillIntoArenasNotTheHeap) {
-  Runtime rt({.num_cpus = 2, .buffer_log2 = 8, .overflow_cap = 64});
+  Runtime rt({.num_cpus = 2,
+              .buffer_log2 = 8,
+              .overflow_cap = 64,
+              .adaptive_forks = false});
   std::vector<uint64_t> data(8, 0);
   rt.register_memory(data.data(), data.size() * sizeof(uint64_t));
   struct Fat {

@@ -394,6 +394,7 @@ INSTANTIATE_TEST_SUITE_P(Cpus, ServeBatchEquivalence,
 TEST(ServeBatch, LatencySamplingRecordsSettles) {
   Runtime::Options o;
   o.num_cpus = 2;
+  o.adaptive_forks = false;  // every batch forks its pieces
   Runtime rt(o);
   CacheIndex index(rt, 6);
   Server server(rt, index, 64);

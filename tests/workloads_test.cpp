@@ -15,11 +15,14 @@
 namespace mutls::workloads {
 namespace {
 
+// Adaptive forks off: these suites check results under speculation, so
+// every fork site keeps forking however little it pays.
 Runtime::Options test_opts(int cpus) {
   Runtime::Options o;
   o.num_cpus = cpus;
   o.buffer_log2 = 16;
   o.overflow_cap = 4096;
+  o.adaptive_forks = false;
   return o;
 }
 
@@ -204,6 +207,23 @@ TEST(WorkloadChaos, ServingInjectedRollbacksPreserveIndex) {
   SpecRun spec = HttpServing::run_spec(rt, p, ForkModel::kMixed);
   EXPECT_EQ(spec.checksum, seq.checksum);
   EXPECT_GT(spec.stats.speculative.rollbacks, 0u);
+}
+
+// With adaptive forks on (the default), fft's fork sites learn that they
+// lose at this size and decline, and the declined subtrees run natively:
+// every run must stay exact while that happens.
+TEST(WorkloadAdaptive, FftStaysExactWhileItsSitesLearn) {
+  Fft::Params p;
+  p.log2_n = 10;
+  p.fork_levels = 4;
+  SeqRun seq = Fft::run_seq(p);
+  Runtime::Options o = test_opts(3);
+  o.adaptive_forks = true;
+  Runtime rt(o);
+  for (int run = 0; run < 24; ++run) {
+    SpecRun spec = Fft::run_spec(rt, p, ForkModel::kMixed);
+    ASSERT_EQ(spec.checksum, seq.checksum) << "run " << run;
+  }
 }
 
 TEST(WorkloadChaos, TinyBuffersStillCorrect) {
