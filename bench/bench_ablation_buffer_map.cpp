@@ -9,8 +9,8 @@
 // side-by-side comparison in one report. Each iteration ends with
 // SpecBuffer::rearm() — the per-speculation re-arm a virtual-CPU slot
 // performs; the SpecBufferStats counters are accumulated across iterations
-// and attached to each run (resizes, average probe length, validated
-// words, overflow exhaustions) so a throughput difference carries its cost
+// and attached to each run, every counter under its table name plus the
+// average probe length, so a throughput difference carries its cost
 // breakdown.
 //
 // Measures buffered store+load streams and the validate/commit/finalize
@@ -38,13 +38,10 @@ BufferBackend backend_of(const benchmark::State& state) {
 void attach_counters(benchmark::State& state, const SpecBuffer& buf,
                      const SpecBufferStats& s) {
   state.SetLabel(buffer_backend_name(buf.backend()));
-  using benchmark::Counter;
-  state.counters["resizes"] =
-      Counter(static_cast<double>(s.resize_events), Counter::kAvgIterations);
-  state.counters["overflow_dooms"] =
-      Counter(static_cast<double>(s.overflow_events), Counter::kAvgIterations);
-  state.counters["validated_words"] =
-      Counter(static_cast<double>(s.validated_words), Counter::kAvgIterations);
+  s.for_each_counter([&](const char* name, uint64_t value) {
+    state.counters[name] = benchmark::Counter(
+        static_cast<double>(value), benchmark::Counter::kAvgIterations);
+  });
   state.counters["avg_probe_len"] = s.avg_probe_length();
 }
 

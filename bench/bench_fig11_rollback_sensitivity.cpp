@@ -31,8 +31,9 @@
 // cells. Throughput is reported, never asserted — timing is the one
 // nondeterministic output.
 //
-// Output: one `FIG11 key=value ...` line per {backend x ratio x predict}
-// cell and a FIG11_TOTAL trailer. Flags: --quick shrinks the epoch count
+// Output: one `RECORD section=cells ...` line per {backend x ratio x
+// predict} cell, carrying every ThreadStats counter of the cell, and a
+// `RECORD section=total` trailer. Flags: --quick shrinks the epoch count
 // (CI smoke); other harness flags are accepted and ignored.
 #include <atomic>
 #include <cinttypes>
@@ -41,6 +42,7 @@
 #include <cstring>
 #include <thread>
 
+#include "bench/common.h"
 #include "mutls/mutls.h"
 #include "support/timing.h"
 
@@ -51,9 +53,6 @@ using namespace mutls;
 constexpr int kRatioPcts[] = {1, 5, 10, 20, 50, 100};
 constexpr BufferBackend kBackends[] = {BufferBackend::kStaticHash,
                                        BufferBackend::kGrowableLog};
-constexpr const char* kBackendNames[] = {"static-hash", "growable-log"};
-static_assert(sizeof(kBackendNames) / sizeof(kBackendNames[0]) ==
-              sizeof(kBackends) / sizeof(kBackends[0]));
 
 constexpr size_t kColdWords = 64;
 constexpr uint64_t kHotInit = 1000;
@@ -81,9 +80,7 @@ uint64_t oracle_digest(bool conflict, uint64_t hot_after,
 struct CellResult {
   uint64_t epochs = 0;
   uint64_t conflicts = 0;
-  uint64_t commits = 0;
-  uint64_t rollbacks = 0;
-  SpecBufferStats buffer;
+  ThreadStats stats;
   uint64_t wall_ns = 0;
 };
 
@@ -139,9 +136,7 @@ bool run_cell(BufferBackend backend, int pct, bool predict, uint64_t epochs,
   });
   out->epochs = epochs;
   out->conflicts = conflicts;
-  out->commits = rs.speculative.commits;
-  out->rollbacks = rs.speculative.rollbacks;
-  out->buffer = rs.speculative.buffer;
+  out->stats = rs.total();
   out->wall_ns = sw.elapsed_ns();
 
   bool ok = true;
@@ -174,44 +169,43 @@ int main(int argc, char** argv) {
   bool ok = true;
   int cells = 0;
   Stopwatch total;
-  for (size_t bi = 0; bi < sizeof(kBackends) / sizeof(kBackends[0]); ++bi) {
+  for (BufferBackend backend : kBackends) {
+    const char* backend_name = buffer_backend_name(backend);
     for (int pct : kRatioPcts) {
       for (int predict = 0; predict <= 1; ++predict) {
         CellResult r;
-        ok &= run_cell(kBackends[bi], pct, predict != 0, epochs, &r);
+        ok &= run_cell(backend, pct, predict != 0, epochs, &r);
         double secs = static_cast<double>(r.wall_ns) * 1e-9;
-        std::printf(
-            "FIG11 backend=%s ratio_pct=%d predict=%s epochs=%" PRIu64
-            " conflicts=%" PRIu64 " commits=%" PRIu64 " rollbacks=%" PRIu64
-            " predicted_reads=%" PRIu64 " predictor_hits=%" PRIu64
-            " predictor_mispredicts=%" PRIu64 " saved_rollbacks=%" PRIu64
-            " wall_ns=%" PRIu64 " epochs_per_s=%.0f\n",
-            kBackendNames[bi], pct, predict ? "on" : "off", r.epochs,
-            r.conflicts, r.commits, r.rollbacks, r.buffer.predicted_reads,
-            r.buffer.predictor_hits, r.buffer.predictor_mispredicts,
-            r.buffer.saved_rollbacks, r.wall_ns,
-            secs > 0 ? static_cast<double>(r.epochs) / secs : 0.0);
+        bench::Record("cells")
+            .kv("backend", backend_name)
+            .kv("ratio_pct", pct)
+            .kv("predict", predict ? "on" : "off")
+            .kv("epochs", r.epochs)
+            .kv("conflicts", r.conflicts)
+            .counters(r.stats)
+            .kv("wall_ns", r.wall_ns)
+            .kv("epochs_per_s",
+                secs > 0 ? static_cast<double>(r.epochs) / secs : 0.0);
         ++cells;
-        if (!predict && (r.buffer.predicted_reads != 0 ||
-                         r.buffer.saved_rollbacks != 0)) {
+        const SpecBufferStats& b = r.stats.buffer;
+        if (!predict && (b.predicted_reads != 0 || b.saved_rollbacks != 0)) {
           std::fprintf(stderr,
                        "FIG11 FAIL: prediction counters leaked into a "
                        "predict=off cell (backend=%s ratio_pct=%d)\n",
-                       kBackendNames[bi], pct);
+                       backend_name, pct);
           ok = false;
         }
-        if (predict && pct >= 20 && r.buffer.saved_rollbacks == 0) {
+        if (predict && pct >= 20 && b.saved_rollbacks == 0) {
           std::fprintf(stderr,
                        "FIG11 FAIL: predict=on saved no rollbacks at "
                        "ratio_pct=%d on backend=%s — the predictor never "
                        "converted a conflict into a commit\n",
-                       pct, kBackendNames[bi]);
+                       pct, backend_name);
           ok = false;
         }
       }
     }
   }
-  std::printf("FIG11_TOTAL cells=%d wall_ns=%" PRIu64 "\n", cells,
-              total.elapsed_ns());
+  bench::Record("total").kv("cells", cells).kv("wall_ns", total.elapsed_ns());
   return ok ? 0 : 1;
 }

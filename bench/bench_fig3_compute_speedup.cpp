@@ -46,14 +46,14 @@ int main(int argc, char** argv) {
     // truly parallel speculative threads for the assertion to be
     // meaningful, so it reports skipped instead of a vacuous failure.
     unsigned hw = std::thread::hardware_concurrency();
+    Record gate("speedup_gate");
+    gate.kv("fig", 3);
     if (hw < 4) {
-      std::printf("SPEEDUP-GATE fig=3 status=skipped hw_threads=%u\n", hw);
+      gate.kv("status", "skipped").kv("hw_threads", hw);
     } else if (worst_best >= 1.05) {
-      std::printf("SPEEDUP-GATE fig=3 status=ok worst_best=%.2f\n",
-                  worst_best);
+      gate.kv("status", "ok").kv("worst_best", worst_best);
     } else {
-      std::printf("SPEEDUP-GATE fig=3 status=fail worst_best=%.2f floor=1.05\n",
-                  worst_best);
+      gate.kv("status", "fail").kv("worst_best", worst_best).kv("floor", 1.05);
       gate_failed = true;
     }
   }

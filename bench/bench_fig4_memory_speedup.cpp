@@ -50,14 +50,14 @@ int main(int argc, char** argv) {
     // workload's best CPU count. Meaningless under 4 hardware threads —
     // report skipped there rather than asserting into the noise.
     unsigned hw = std::thread::hardware_concurrency();
+    Record gate("speedup_gate");
+    gate.kv("fig", 4);
     if (hw < 4) {
-      std::printf("SPEEDUP-GATE fig=4 status=skipped hw_threads=%u\n", hw);
+      gate.kv("status", "skipped").kv("hw_threads", hw);
     } else if (worst_best >= 0.70) {
-      std::printf("SPEEDUP-GATE fig=4 status=ok worst_best=%.2f\n",
-                  worst_best);
+      gate.kv("status", "ok").kv("worst_best", worst_best);
     } else {
-      std::printf("SPEEDUP-GATE fig=4 status=fail worst_best=%.2f floor=0.70\n",
-                  worst_best);
+      gate.kv("status", "fail").kv("worst_best", worst_best).kv("floor", 0.70);
       gate_failed = true;
     }
   }

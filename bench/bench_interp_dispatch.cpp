@@ -5,10 +5,11 @@
 // Release-job smoke check), and reports best-of-N wall time normalized per
 // interpreted instruction.
 //
-// Machine-readable output: one "DISPATCH key=value ..." line per cell and
-// one "DISPATCH_HEAT ..." line per loop region of the last run;
-// scripts/bench_json.py parses these into the interp_dispatch section of
-// BENCH_results.json and fails loudly when a mode or backend is missing.
+// Machine-readable output: one `RECORD section=cells ...` line per cell,
+// carrying every ThreadStats counter of its best run, and one
+// `RECORD section=region_heat ...` line per loop region of that run;
+// scripts/bench_json.py files them in BENCH_results.json and fails loudly
+// when a mode or backend is missing.
 //
 // Flags:
 //   --quick    CI smoke sizes (~100x smaller)
@@ -22,6 +23,7 @@
 #include <cstring>
 #include <vector>
 
+#include "bench/common.h"
 #include "bench/ir_kernels.h"
 #include "exec/profile.h"
 #include "interp/interp.h"
@@ -137,25 +139,24 @@ int main(int argc, char** argv) {
           ok = false;
           continue;
         }
-        const ThreadStats& c = best.stats.critical;
-        const ThreadStats& s = best.stats.speculative;
-        std::printf(
-            "DISPATCH kernel=%s mode=%s backend=%s wall_ns=%" PRIu64
-            " iters=%" PRIu64 " instrs=%" PRIu64
-            " ns_per_instr=%.3f back_edges=%" PRIu64 " commits=%" PRIu64
-            " rollbacks=%" PRIu64 "\n",
-            k.name, exec::dispatch_mode_name(mode),
-            buffer_backend_name(backend), best.wall_ns, k.n, k.instrs,
-            static_cast<double>(best.wall_ns) /
-                static_cast<double>(k.instrs),
-            c.back_edges + s.back_edges, c.commits + s.commits,
-            c.rollbacks + s.rollbacks);
+        bench::Record("cells")
+            .kv("kernel", k.name)
+            .kv("mode", exec::dispatch_mode_name(mode))
+            .kv("backend", buffer_backend_name(backend))
+            .kv("wall_ns", best.wall_ns)
+            .kv("iters", k.n)
+            .kv("instrs", k.instrs)
+            .kv("ns_per_instr", static_cast<double>(best.wall_ns) /
+                                    static_cast<double>(k.instrs))
+            .counters(best.stats.total());
         for (const exec::RegionHeat& h : best.heat) {
-          std::printf("DISPATCH_HEAT kernel=%s mode=%s backend=%s "
-                      "region=%s:%s count=%" PRIu64 "\n",
-                      k.name, exec::dispatch_mode_name(mode),
-                      buffer_backend_name(backend), h.function.c_str(),
-                      h.header.c_str(), h.count);
+          const std::string region = h.function + ":" + h.header;
+          bench::Record("region_heat")
+              .kv("kernel", k.name)
+              .kv("mode", exec::dispatch_mode_name(mode))
+              .kv("backend", buffer_backend_name(backend))
+              .kv("region", region.c_str())
+              .kv("count", h.count);
         }
       }
     }

@@ -10,39 +10,42 @@ namespace {
 
 using namespace mutls;
 
-// Warm-up fork/joins executed before the timed loop: enough for every
-// virtual-CPU slot to pay its arena segments, pool classes along the
-// growable doubling ladder and retired local frames. Past this point the
-// runtime's zero-allocation steady-state invariant holds.
+// Warm-up fork/joins, run before the measured run in a run of their own:
+// enough for every virtual-CPU slot to pay its arena segments, pool
+// classes along the growable doubling ladder and retired local frames.
+// Past this point the runtime's zero-allocation steady-state invariant
+// holds.
 constexpr int kAllocWarmup = 8;
 
-// Steady-state heap-fallback allocations: everything after the warm-up
-// snapshot. Reported absolute (not per iteration) — the CI alloc budget
-// requires exactly zero. The critical counter only lands at end_run, so it
-// is absent from the mid-run snapshot; the root forker's handles stay
-// inline (or in warmed root-arena segments), keeping that term zero too.
-double steady_alloc_events(const RunStats& final_rs, const RunStats& warm) {
-  uint64_t total = final_rs.speculative.buffer.alloc_events +
-                   final_rs.critical.buffer.alloc_events;
-  uint64_t warmed = warm.speculative.buffer.alloc_events +
-                    warm.critical.buffer.alloc_events;
-  return static_cast<double>(total - warmed);
+// Runs body kAllocWarmup times in a warm-up run, then once per benchmark
+// iteration in the measured run, and attaches every ThreadStats counter of
+// the measured run, both sides summed, per iteration (comparable across
+// runs whose auto-chosen iteration counts differ). The measured run starts
+// after the warm-up, so its alloc_events counts steady-state heap
+// fallbacks only: the CI alloc budget requires exactly zero. The root
+// forker's handles stay inline (or in warmed root-arena segments), keeping
+// the critical side's term zero too.
+template <class Body>
+RunStats run_measured(benchmark::State& state, Runtime& rt, Body body) {
+  rt.run([&](Ctx& ctx) {
+    for (int i = 0; i < kAllocWarmup; ++i) body(ctx);
+  });
+  RunStats rs = rt.run([&](Ctx& ctx) {
+    for (auto _ : state) body(ctx);
+  });
+  rs.total().for_each_counter([&](const char* name, uint64_t value) {
+    state.counters[name] = benchmark::Counter(
+        static_cast<double>(value), benchmark::Counter::kAvgIterations);
+  });
+  return rs;
 }
 
 void BM_ForkJoinRoundTrip(benchmark::State& state) {
   Runtime rt({.num_cpus = 1, .buffer_log2 = 10});
-  RunStats warm;
-  RunStats rs = rt.run([&](Ctx& ctx) {
-    for (int i = 0; i < kAllocWarmup; ++i) {
-      Spec s = rt.fork(ctx, ForkModel::kMixed, [](Ctx&) {});
-      rt.join(ctx, s);
-    }
-    warm = rt.manager().collect_stats();
-    for (auto _ : state) {
-      Spec s = rt.fork(ctx, ForkModel::kMixed, [](Ctx&) {});
-      JoinOutcome r = rt.join(ctx, s);
-      benchmark::DoNotOptimize(r);
-    }
+  RunStats rs = run_measured(state, rt, [&](Ctx& ctx) {
+    Spec s = rt.fork(ctx, ForkModel::kMixed, [](Ctx&) {});
+    JoinOutcome r = rt.join(ctx, s);
+    benchmark::DoNotOptimize(r);
   });
   // The critical-path fork-latency ledger split, per round trip: idle-slot
   // claim, slot arming, worker handoff (spin-then-park pickup), join.
@@ -55,7 +58,6 @@ void BM_ForkJoinRoundTrip(benchmark::State& state) {
   state.counters["fork_arm_ns"] = per_iter(TimeCat::kFork);
   state.counters["fork_handoff_ns"] = per_iter(TimeCat::kForkHandoff);
   state.counters["join_ns"] = per_iter(TimeCat::kJoin);
-  state.counters["alloc_events"] = steady_alloc_events(rs, warm);
 }
 BENCHMARK(BM_ForkJoinRoundTrip);
 
@@ -74,40 +76,6 @@ void BM_DirectLoadStore(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectLoadStore);
 
-// Attaches the per-backend buffer cost counters (SpecBufferStats folded
-// into ThreadStats at settle) so backend comparisons carry their cost
-// breakdown alongside raw throughput. Event counters span the whole run,
-// so they are reported per iteration (comparable across runs whose
-// auto-chosen iteration counts differ); avg_probe_len is already a ratio.
-void attach_buffer_counters(benchmark::State& state, const RunStats& rs) {
-  const SpecBufferStats& b = rs.speculative.buffer;
-  using benchmark::Counter;
-  state.counters["resize_events"] =
-      Counter(static_cast<double>(b.resize_events), Counter::kAvgIterations);
-  state.counters["overflow_events"] =
-      Counter(static_cast<double>(b.overflow_events), Counter::kAvgIterations);
-  state.counters["validated_words"] =
-      Counter(static_cast<double>(b.validated_words), Counter::kAvgIterations);
-  state.counters["avg_probe_len"] = b.avg_probe_length();
-  // Access-path counters: word-view cache hits and misses.
-  state.counters["mru_hits"] =
-      Counter(static_cast<double>(b.mru_hits), Counter::kAvgIterations);
-  state.counters["mru_misses"] =
-      Counter(static_cast<double>(b.mru_misses), Counter::kAvgIterations);
-  // Value prediction: all zero with prediction disabled (the default
-  // here), but always *reported* — the bench_json micro gate fails when a
-  // buffer-counter run stops carrying them, the same way it polices
-  // alloc_events.
-  state.counters["predicted_reads"] =
-      Counter(static_cast<double>(b.predicted_reads), Counter::kAvgIterations);
-  state.counters["predictor_hits"] =
-      Counter(static_cast<double>(b.predictor_hits), Counter::kAvgIterations);
-  state.counters["predictor_mispredicts"] = Counter(
-      static_cast<double>(b.predictor_mispredicts), Counter::kAvgIterations);
-  state.counters["saved_rollbacks"] =
-      Counter(static_cast<double>(b.saved_rollbacks), Counter::kAvgIterations);
-}
-
 void BM_BufferedLoadStore(benchmark::State& state) {
   // Measures the speculative access path: each iteration forks one
   // speculation doing a fixed batch of buffered read-modify-writes (the
@@ -117,8 +85,7 @@ void BM_BufferedLoadStore(benchmark::State& state) {
   constexpr int64_t kBatch = 4096;
   Runtime rt({.num_cpus = 1, .buffer_log2 = 16, .buffer_backend = backend});
   SharedArray<uint64_t> data(rt, 1024, 0);
-  RunStats warm;
-  auto body = [&](Ctx& ctx) {
+  RunStats rs = run_measured(state, rt, [&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
       SharedSpan<uint64_t> d = data.span(c);
       for (int64_t k = 0; k < kBatch; ++k) {
@@ -126,16 +93,10 @@ void BM_BufferedLoadStore(benchmark::State& state) {
       }
     });
     rt.join(ctx, s);
-  };
-  RunStats rs = rt.run([&](Ctx& ctx) {
-    for (int i = 0; i < kAllocWarmup; ++i) body(ctx);
-    warm = rt.manager().collect_stats();
-    for (auto _ : state) body(ctx);
   });
   state.SetItemsProcessed(state.iterations() * kBatch);
   state.SetLabel(buffer_backend_name(backend));
-  attach_buffer_counters(state, rs);
-  state.counters["alloc_events"] = steady_alloc_events(rs, warm);
+  state.counters["avg_probe_len"] = rs.total().buffer.avg_probe_length();
 }
 BENCHMARK(BM_BufferedLoadStore)
     ->ArgNames({"backend"})
@@ -153,9 +114,7 @@ void BM_BufferedLargeFootprint(benchmark::State& state) {
               .buffer_backend = backend});
   constexpr size_t kN = 16384;
   SharedArray<uint64_t> data(rt, kN, 0);
-  int64_t iters = 0;
-  RunStats warm;
-  auto body = [&](Ctx& ctx) {
+  RunStats rs = run_measured(state, rt, [&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
       SharedSpan<uint64_t> d = data.span(c);
       for (size_t k = 0; k < kN; ++k) {
@@ -164,21 +123,10 @@ void BM_BufferedLargeFootprint(benchmark::State& state) {
       }
     });
     rt.join(ctx, s);
-  };
-  RunStats rs = rt.run([&](Ctx& ctx) {
-    for (int i = 0; i < kAllocWarmup; ++i) body(ctx);
-    warm = rt.manager().collect_stats();
-    for (auto _ : state) {
-      ++iters;
-      body(ctx);
-    }
   });
-  state.SetItemsProcessed(iters * static_cast<int64_t>(kN));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kN));
   state.SetLabel(buffer_backend_name(backend));
-  attach_buffer_counters(state, rs);
-  state.counters["rollbacks"] = static_cast<double>(rs.speculative.rollbacks);
-  state.counters["commits"] = static_cast<double>(rs.speculative.commits);
-  state.counters["alloc_events"] = steady_alloc_events(rs, warm);
+  state.counters["avg_probe_len"] = rs.total().buffer.avg_probe_length();
 }
 BENCHMARK(BM_BufferedLargeFootprint)
     ->ArgNames({"backend"})

@@ -11,9 +11,10 @@
 // reach its share of the floor fails once its window reaches
 // kWindowCap x its duration, instead of running forever.
 //
-// Machine-readable output: one "SUSTAINED key=value ..." line per cell and
-// a final "SUSTAINED_TOTAL ..." line; scripts/bench_json.py parses these
-// into the sustained_load section of BENCH_results.json.
+// Machine-readable output: one `RECORD section=cells ...` line per cell,
+// carrying every ThreadStats counter of its measured window, and a final
+// `RECORD section=total ...` line; scripts/bench_json.py files them in
+// BENCH_results.json and checks the cell matrix.
 //
 // Flags:
 //   --quick            CI smoke: ~0.1s cells, no fork/join floor
@@ -34,6 +35,7 @@
 
 #include "api/parallel.h"
 #include "api/spec.h"
+#include "bench/common.h"
 #include "serving/cache_index.h"
 #include "serving/request_gen.h"
 #include "serving/serve_batch.h"
@@ -230,7 +232,7 @@ int main(int argc, char** argv) {
 
   uint64_t total_forks = 0;
   double total_duration = 0.0;
-  uint64_t total_allocs = 0;
+  ThreadStats all_cells;
   for (BufferBackend backend : backends) {
     for (double s : skews) {
       for (int batch : batch_sizes) {
@@ -240,8 +242,8 @@ int main(int argc, char** argv) {
         double req_per_s =
             r.duration_s > 0 ? static_cast<double>(r.requests) / r.duration_s
                              : 0.0;
-        uint64_t allocs = r.stats.speculative.buffer.alloc_events +
-                          r.stats.critical.buffer.alloc_events;
+        const ThreadStats totals = r.stats.total();
+        const uint64_t allocs = totals.buffer.alloc_events;
         std::printf(
             "%-13s %-9s %5d %9.0f %10llu %8.1f %8.1f %8.1f %6.2f%% %6llu\n",
             buffer_backend_name(backend), skew_name, batch, req_per_s,
@@ -251,43 +253,25 @@ int main(int argc, char** argv) {
             static_cast<double>(r.latency.percentile(0.999)) / 1e3,
             doom_rate(r.stats) * 100.0,
             static_cast<unsigned long long>(allocs));
-        std::printf(
-            "SUSTAINED backend=%s skew=%s batch=%d duration_s=%.3f "
-            "requests=%llu req_per_s=%.0f fork_joins=%llu p50_ns=%llu "
-            "p99_ns=%llu p999_ns=%llu commits=%llu rollbacks=%llu "
-            "doom_rate=%.4f malformed=%llu get_hits=%llu get_misses=%llu "
-            "puts=%llu evictions=%llu alloc_events=%llu overflow_events=%llu "
-            "resize_events=%llu predict=%s "
-            "predicted_reads=%llu predictor_hits=%llu "
-            "predictor_mispredicts=%llu saved_rollbacks=%llu\n",
-            buffer_backend_name(backend), skew_name, batch, r.duration_s,
-            static_cast<unsigned long long>(r.requests), req_per_s,
-            static_cast<unsigned long long>(r.forks),
-            static_cast<unsigned long long>(r.latency.percentile(0.5)),
-            static_cast<unsigned long long>(r.latency.percentile(0.99)),
-            static_cast<unsigned long long>(r.latency.percentile(0.999)),
-            static_cast<unsigned long long>(r.stats.speculative.commits),
-            static_cast<unsigned long long>(r.stats.speculative.rollbacks),
-            doom_rate(r.stats),
-            static_cast<unsigned long long>(r.counters.malformed),
-            static_cast<unsigned long long>(r.counters.get_hits),
-            static_cast<unsigned long long>(r.counters.get_misses),
-            static_cast<unsigned long long>(r.counters.puts),
-            static_cast<unsigned long long>(r.counters.evictions),
-            static_cast<unsigned long long>(allocs),
-            static_cast<unsigned long long>(
-                r.stats.speculative.buffer.overflow_events),
-            static_cast<unsigned long long>(
-                r.stats.speculative.buffer.resize_events),
-            args.predict ? "on" : "off",
-            static_cast<unsigned long long>(
-                r.stats.speculative.buffer.predicted_reads),
-            static_cast<unsigned long long>(
-                r.stats.speculative.buffer.predictor_hits),
-            static_cast<unsigned long long>(
-                r.stats.speculative.buffer.predictor_mispredicts),
-            static_cast<unsigned long long>(
-                r.stats.speculative.buffer.saved_rollbacks));
+        bench::Record("cells")
+            .kv("backend", buffer_backend_name(backend))
+            .kv("skew", skew_name)
+            .kv("batch", batch)
+            .kv("predict", args.predict ? "on" : "off")
+            .kv("duration_s", r.duration_s)
+            .kv("requests", r.requests)
+            .kv("req_per_s", req_per_s)
+            .kv("fork_joins", r.forks)
+            .kv("p50_ns", r.latency.percentile(0.5))
+            .kv("p99_ns", r.latency.percentile(0.99))
+            .kv("p999_ns", r.latency.percentile(0.999))
+            .kv("doom_rate", doom_rate(r.stats))
+            .kv("malformed", r.counters.malformed)
+            .kv("get_hits", r.counters.get_hits)
+            .kv("get_misses", r.counters.get_misses)
+            .kv("puts", r.counters.puts)
+            .kv("evictions", r.counters.evictions)
+            .counters(totals);
         if (r.capped) {
           std::fprintf(stderr,
                        "FAIL: %s %s batch %d settled %llu fork/joins in "
@@ -300,15 +284,15 @@ int main(int argc, char** argv) {
         }
         total_forks += r.forks;
         total_duration += r.duration_s;
-        total_allocs += allocs;
+        all_cells += totals;
       }
     }
   }
 
-  std::printf(
-      "SUSTAINED_TOTAL fork_joins=%llu duration_s=%.3f alloc_events=%llu\n",
-      static_cast<unsigned long long>(total_forks), total_duration,
-      static_cast<unsigned long long>(total_allocs));
+  bench::Record("total")
+      .kv("fork_joins", total_forks)
+      .kv("duration_s", total_duration)
+      .counters(all_cells);
   if (args.min_forks && total_forks < args.min_forks) {
     std::fprintf(stderr,
                  "FAIL: sustained %llu fork/joins < floor %llu\n",
@@ -316,6 +300,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(args.min_forks));
     return 1;
   }
+  const uint64_t total_allocs = all_cells.buffer.alloc_events;
   if (total_allocs != 0) {
     std::fprintf(stderr,
                  "FAIL: %llu heap allocations after warm-up (steady state "

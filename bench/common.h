@@ -3,15 +3,18 @@
 // Every bench binary prints the rows/series of one table or figure of the
 // paper, in two sections: MEASURED (the native runtime on this machine's
 // cores, scaled-down workload sizes) and SIMULATED (the discrete-event
-// model at paper scale, up to 64 CPUs — the hardware substitution described
-// in DESIGN.md §2). "N CPUs" follows the paper's convention and counts the
-// non-speculative thread, so a measured point at N uses N-1 speculative
-// virtual CPUs.
+// model at paper scale, up to 64 CPUs, which no ordinary host has; README.md,
+// "Measured vs modeled speedup", says how to read the two). "N CPUs" follows
+// the paper's convention and counts the non-speculative thread, so a
+// measured point at N uses N-1 speculative virtual CPUs.
 //
 // Flags: --paper   run measured workloads at paper-scale sizes (slow)
 //        --quick   shrink measured sizes further (CI smoke)
 //        --no-sim  skip the simulated section
 //        --no-measured  skip the measured section
+//
+// Machine-readable results are RECORD lines (see Record below), the one
+// format scripts/bench_json.py reads besides the table rows.
 #pragma once
 
 #include <cstdio>
@@ -20,6 +23,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "sim/models.h"
@@ -35,6 +39,48 @@
 #include "workloads/tsp.h"
 
 namespace mutls::bench {
+
+// One machine-readable result line, `RECORD section=<key> k=v ...`, ended
+// when the Record is destroyed, so a temporary one ends with the statement
+// that builds it:
+//
+//   Record("cells").kv("backend", name).kv("wall_ns", ns).counters(stats);
+//
+// scripts/bench_json.py files each record under <key> in its bench's entry
+// of BENCH_results.json and checks it against the script's schema. Keys
+// and string values must not contain spaces.
+class Record {
+ public:
+  explicit Record(const char* section) {
+    std::printf("RECORD section=%s", section);
+  }
+  Record(const Record&) = delete;
+  Record& operator=(const Record&) = delete;
+  ~Record() { std::printf("\n"); }
+
+  template <class T>
+  Record& kv(const char* key, const T& value) {
+    if constexpr (std::is_floating_point_v<T>) {
+      std::printf(" %s=%.9g", key, static_cast<double>(value));
+    } else if constexpr (std::is_signed_v<T>) {
+      std::printf(" %s=%lld", key, static_cast<long long>(value));
+    } else if constexpr (std::is_unsigned_v<T>) {
+      std::printf(" %s=%llu", key, static_cast<unsigned long long>(value));
+    } else {
+      std::printf(" %s=%s", key, static_cast<const char*>(value));
+    }
+    return *this;
+  }
+
+  // Every counter of a counter table's struct (ThreadStats,
+  // SpecBufferStats), under its table name.
+  template <class Stats>
+  Record& counters(const Stats& stats) {
+    stats.for_each_counter(
+        [this](const char* name, uint64_t value) { kv(name, value); });
+    return *this;
+  }
+};
 
 struct HarnessArgs {
   bool paper = false;

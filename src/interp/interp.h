@@ -36,11 +36,10 @@
 // knob comes from the ManagerConfig beside it, the struct the native
 // embedding's Runtime::Options also names.
 //
-// Restrictions relative to the paper (documented in DESIGN.md): stop
-// positions are taken only in the speculative entry frame, so the
-// stack-frame reconstruction walk of section IV-H is not needed at
-// runtime; nested calls run speculatively but stop points inside them
-// degrade to rollback.
+// Restrictions relative to the paper: stop positions are taken only in the
+// speculative entry frame, so the stack-frame reconstruction walk of
+// section IV-H is not needed at runtime; nested calls run speculatively
+// but stop points inside them degrade to rollback.
 #pragma once
 
 #include <memory>

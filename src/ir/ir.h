@@ -1,9 +1,9 @@
-// A compact SSA intermediate representation standing in for LLVM IR
-// (DESIGN.md §2): typed values, basic blocks, phis, loads/stores, calls and
-// the MUTLS fork/join/barrier intrinsics. The speculator pass
-// (src/speculator/) transforms this IR exactly as the paper's LLVM pass
-// transforms LLVM IR, and the interpreter (src/interp/) executes it against
-// host memory with the TLS runtime.
+// A compact SSA intermediate representation standing in for LLVM IR, so
+// the speculator and the interpreter need no LLVM toolchain: typed values,
+// basic blocks, phis, loads/stores, calls and the MUTLS fork/join/barrier
+// intrinsics. The speculator pass (src/speculator/) transforms this IR
+// exactly as the paper's LLVM pass transforms LLVM IR, and the interpreter
+// (src/interp/) executes it against host memory with the TLS runtime.
 //
 // Textual syntax (see parser.cpp):
 //

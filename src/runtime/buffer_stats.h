@@ -7,41 +7,58 @@
 // many words validation had to compare. The counters survive reset() — the
 // settle paths read them after resetting the buffer — and are zeroed by
 // clear_stats() when a virtual-CPU slot is re-armed for a new speculation.
+//
+// A counter table, X(name, doc), is the only declaration of its counters:
+// it expands to the uint64_t fields in table order, to operator+= and to
+// for_each_counter(f), which calls f(name, value) for each counter in
+// order and is what the bench printers go through. A new counter is one
+// line in its table.
 #pragma once
 
 #include <cstdint>
 
+#define MUTLS_COUNTER_FIELD(name, doc) uint64_t name = 0;
+#define MUTLS_COUNTER_ADD(name, doc) name += o.name;
+#define MUTLS_COUNTER_VISIT(name, doc) f(#name, name);
+#define MUTLS_COUNTER_ONE(name, doc) +1
+
+#define MUTLS_SPEC_BUFFER_COUNTERS(X)                                        \
+  X(overflow_events,                                                         \
+    "capacity-exhaustion dooms: the bounded overflow map (static hash) or "  \
+    "the hard index cap (growable log)")                                     \
+  X(resize_events, "growable-log: index rehashes")                           \
+  X(probe_steps, "open-addressing steps beyond the home slot")               \
+  X(probe_ops, "probed lookups (avg length = steps / ops)")                  \
+  X(validated_words, "read-set words compared at validation")                \
+  X(mru_hits,                                                                \
+    "word loads and stores served by their word-view line without a set "    \
+    "probe")                                                                 \
+  X(mru_misses, "ones that had to probe the sets")                           \
+  X(alloc_events,                                                            \
+    "heap-fallback allocations the slot's arena performed during this "      \
+    "speculation (segment growth, pool misses, oversized closures). Zero "   \
+    "at steady state: the invariant the CI alloc budget enforces")           \
+  X(predicted_reads,                                                         \
+    "first-touch reads adopted from a confident predictor entry instead "    \
+    "of memory (value prediction enabled only)")                             \
+  X(predictor_hits,                                                          \
+    "predicted reads whose predicted value matched the settled value at "    \
+    "validation")                                                            \
+  X(predictor_mispredicts,                                                   \
+    "predicted reads whose prediction missed, contained by the doom path "   \
+    "with the mispredict reason")                                            \
+  X(saved_rollbacks,                                                         \
+    "speculations that validated because prediction overrode a stale "       \
+    "observation (some predicted read saw memory change under it): each "    \
+    "one is a rollback the unpredicted runtime provably pays")
+
 namespace mutls {
 
 struct SpecBufferStats {
-  uint64_t overflow_events = 0;  // capacity-exhaustion dooms: the bounded
-                                 // overflow map (static hash) or the hard
-                                 // index cap (growable log)
-  uint64_t resize_events = 0;    // growable-log: index rehashes
-  uint64_t probe_steps = 0;      // open-addressing steps beyond the home slot
-  uint64_t probe_ops = 0;        // probed lookups (avg length = steps / ops)
-  uint64_t validated_words = 0;  // read-set words compared at validation
-  uint64_t mru_hits = 0;         // word loads and stores served by their
-                                 // word-view line without a set probe
-  uint64_t mru_misses = 0;       // ones that had to probe the sets
-  uint64_t alloc_events = 0;     // heap-fallback allocations the slot's
-                                 // arena performed during this speculation
-                                 // (segment growth, pool misses, oversized
-                                 // closures). Zero at steady state — the
-                                 // invariant the CI alloc budget enforces.
-  uint64_t predicted_reads = 0;  // first-touch reads adopted from a
-                                 // confident predictor entry instead of
-                                 // memory (value prediction enabled only)
-  uint64_t predictor_hits = 0;   // predicted reads whose predicted value
-                                 // matched the settled value at validation
-  uint64_t predictor_mispredicts = 0;  // predicted reads whose prediction
-                                       // missed — contained by the doom
-                                       // path with the mispredict reason
-  uint64_t saved_rollbacks = 0;  // speculations that validated *because*
-                                 // prediction overrode a stale observation
-                                 // (some predicted read saw memory change
-                                 // under it) — each one is a rollback the
-                                 // unpredicted runtime provably pays
+  MUTLS_SPEC_BUFFER_COUNTERS(MUTLS_COUNTER_FIELD)
+
+  static constexpr int kCounters =
+      0 MUTLS_SPEC_BUFFER_COUNTERS(MUTLS_COUNTER_ONE);
 
   void clear() { *this = SpecBufferStats{}; }
 
@@ -53,20 +70,19 @@ struct SpecBufferStats {
   }
 
   SpecBufferStats& operator+=(const SpecBufferStats& o) {
-    overflow_events += o.overflow_events;
-    resize_events += o.resize_events;
-    probe_steps += o.probe_steps;
-    probe_ops += o.probe_ops;
-    validated_words += o.validated_words;
-    mru_hits += o.mru_hits;
-    mru_misses += o.mru_misses;
-    alloc_events += o.alloc_events;
-    predicted_reads += o.predicted_reads;
-    predictor_hits += o.predictor_hits;
-    predictor_mispredicts += o.predictor_mispredicts;
-    saved_rollbacks += o.saved_rollbacks;
+    MUTLS_SPEC_BUFFER_COUNTERS(MUTLS_COUNTER_ADD)
     return *this;
   }
+
+  template <class F>
+  void for_each_counter(F&& f) const {
+    MUTLS_SPEC_BUFFER_COUNTERS(MUTLS_COUNTER_VISIT)
+  }
 };
+
+// A counter declared outside the table would escape operator+= and the
+// printers; it fails the build here instead.
+static_assert(sizeof(SpecBufferStats) ==
+              SpecBufferStats::kCounters * sizeof(uint64_t));
 
 }  // namespace mutls

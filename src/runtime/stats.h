@@ -13,21 +13,26 @@
 
 namespace mutls {
 
+// The scalar counters of one thread, in field order: X(name, doc), as
+// the buffer table in "runtime/buffer_stats.h".
+#define MUTLS_THREAD_COUNTERS(X)                                             \
+  X(loads,                                                                   \
+    "shared loads, counted by speculative threads only: the "                \
+    "non-speculative thread's accesses take the uncounted direct path, so "  \
+    "RunStats::critical reads 0 here")                                       \
+  X(stores, "shared stores, counted as loads are")                           \
+  X(forks, "successful speculations")                                        \
+  X(fork_denied, "admission or no-IDLE-CPU failures")                        \
+  X(commits, "speculations that validated and committed")                    \
+  X(rollbacks, "speculations that settled by rolling back")                  \
+  X(nosyncs, "speculations discarded without a join (NOSYNC)")               \
+  X(back_edges, "loop back edges executed (region profiler)")                \
+  X(runtime_ns, "total wall time attributed to this thread")
+
 struct ThreadStats {
   TimeLedger ledger;
 
-  // Shared accesses, counted by speculative threads only: the
-  // non-speculative thread's accesses take the uncounted direct path, so
-  // RunStats::critical reads 0 here.
-  uint64_t loads = 0;
-  uint64_t stores = 0;
-  uint64_t forks = 0;        // successful speculations
-  uint64_t fork_denied = 0;  // admission or no-IDLE-CPU failures
-  uint64_t commits = 0;
-  uint64_t rollbacks = 0;
-  uint64_t nosyncs = 0;
-  uint64_t back_edges = 0;  // loop back edges executed (region profiler)
-  uint64_t runtime_ns = 0;  // total wall time attributed to this thread
+  MUTLS_THREAD_COUNTERS(MUTLS_COUNTER_FIELD)
 
   // Per-backend buffer cost counters, accumulated at each settle: overflow
   // exhaustions (static-hash), index rehashes (growable-log), probe
@@ -35,23 +40,31 @@ struct ThreadStats {
   // breakdown behind backend comparisons.
   SpecBufferStats buffer;
 
+  static constexpr int kCounters =
+      0 MUTLS_THREAD_COUNTERS(MUTLS_COUNTER_ONE);
+
   void clear() { *this = ThreadStats{}; }
 
   ThreadStats& operator+=(const ThreadStats& o) {
     ledger += o.ledger;
-    loads += o.loads;
-    stores += o.stores;
-    forks += o.forks;
-    fork_denied += o.fork_denied;
-    commits += o.commits;
-    rollbacks += o.rollbacks;
-    nosyncs += o.nosyncs;
-    back_edges += o.back_edges;
+    MUTLS_THREAD_COUNTERS(MUTLS_COUNTER_ADD)
     buffer += o.buffer;
-    runtime_ns += o.runtime_ns;
     return *this;
   }
+
+  // The thread's counters, then its buffer's.
+  template <class F>
+  void for_each_counter(F&& f) const {
+    MUTLS_THREAD_COUNTERS(MUTLS_COUNTER_VISIT)
+    buffer.for_each_counter(f);
+  }
 };
+
+// As for SpecBufferStats: a counter declared outside the table fails the
+// build here.
+static_assert(sizeof(ThreadStats) ==
+              sizeof(TimeLedger) + sizeof(SpecBufferStats) +
+                  ThreadStats::kCounters * sizeof(uint64_t));
 
 // Snapshot of one parallel run: the critical (non-speculative) path plus the
 // sum over all speculative threads, as the paper's metrics require.
@@ -59,6 +72,13 @@ struct RunStats {
   ThreadStats critical;
   ThreadStats speculative;
   uint64_t speculative_threads = 0;
+
+  // The critical path and the speculative threads together.
+  ThreadStats total() const {
+    ThreadStats t = critical;
+    t += speculative;
+    return t;
+  }
 
   // Critical path efficiency eta_crit = Twork_nonsp / Truntime_nonsp.
   double critical_efficiency() const {

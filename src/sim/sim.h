@@ -1,8 +1,9 @@
 // Discrete-event TLS simulator.
 //
-// Substitute for the paper's 64-core AMD Opteron 6274 (see DESIGN.md §2):
-// the simulator executes the same structured task trees as the native
-// runtime — forking-model admission, bounded virtual-CPU pool, LIFO joins,
+// Substitute for the paper's 64-core AMD Opteron 6274, which no ordinary
+// host matches (README.md, "Measured vs modeled speedup"): the simulator
+// executes the same structured task trees as the native runtime —
+// forking-model admission, bounded virtual-CPU pool, LIFO joins,
 // validation/commit costs proportional to buffer footprints, inline
 // re-execution after rollback — over *virtual* time, so speedup and
 // breakdown curves can be produced for any CPU count on any host.
