@@ -306,8 +306,13 @@ inline sim::Simulator::Options sim_opts(int total_cpus, ForkModel model,
   return o;
 }
 
+// Exit status of a bench whose speculative run disagreed with the
+// sequential oracle. A missed speedup gate exits 1, so scripts/bench_json.py
+// can tell a wrong result (status "incorrect") from a slow one ("failed").
+constexpr int kOracleMismatchExit = 3;
+
 // The oracle check after every speculative run: a checksum that differs
-// from the sequential run's ends the bench with exit status 1.
+// from the sequential run's ends the bench with kOracleMismatchExit.
 inline void check_checksum(const BenchWorkload& w, uint64_t got,
                            uint64_t want) {
   if (got != want) {
@@ -316,7 +321,7 @@ inline void check_checksum(const BenchWorkload& w, uint64_t got,
                  "(%016llx vs %016llx)\n",
                  w.name.c_str(), static_cast<unsigned long long>(got),
                  static_cast<unsigned long long>(want));
-    std::exit(1);
+    std::exit(kOracleMismatchExit);
   }
 }
 

@@ -9,9 +9,12 @@ and what it reported. The figure benches' table rows are parsed into
 binaries run in JSON mode and every counter of each run is kept; the other
 binaries print `RECORD section=<key> k=v ...` lines (bench/common.h), each
 filed under <key> in its bench's entry. SCHEMA gates the entries: a bench
-that exits nonzero is "failed", one whose output breaks a gate "invalid"
-with a "problems" list, and either makes the script exit 1. --baseline
-embeds the hot-path rows of a previous document for a before/after record.
+whose speculative run disagreed with the sequential oracle (exit status
+ORACLE_MISMATCH_EXIT) is "incorrect", one that exits otherwise nonzero (a
+missed speedup gate, say) "failed", one whose output breaks a gate
+"invalid" with a "problems" list. An incorrect entry makes the script exit
+ORACLE_MISMATCH_EXIT, any other non-ok one 1. --baseline embeds the
+hot-path rows of a previous document for a before/after record.
 
 Usage:
   scripts/bench_json.py --bench-dir build/bench [--out BENCH_results.json]
@@ -67,6 +70,10 @@ GBENCH_SECTIONS = ("micro", "ablation")
 GBENCH_FIELDS = ("name", "label", "family_index", "per_family_instance_index",
                  "run_name", "run_type", "repetitions", "repetition_index",
                  "threads", "iterations", "time_unit")
+
+# A bench's exit status when a speculative run disagreed with the
+# sequential oracle (kOracleMismatchExit in bench/common.h).
+ORACLE_MISMATCH_EXIT = 3
 
 # Sections that hold one record; every other section is a list of them.
 SINGLE = ("total", "speedup_gate")
@@ -180,8 +187,9 @@ def check(records, gate):
 def record_entry(section: str, name: str, returncode: int, stdout: str,
                  stderr: str):
     """Build one bench's entry from its exit status and output, gated."""
-    entry = {"bench": name, "exit_code": returncode,
-             "status": "ok" if returncode == 0 else "failed"}
+    status = ("ok" if returncode == 0 else "incorrect"
+              if returncode == ORACLE_MISMATCH_EXIT else "failed")
+    entry = {"bench": name, "exit_code": returncode, "status": status}
     if stderr.strip():
         entry["stderr"] = stderr.splitlines()
     if section in GBENCH_SECTIONS:
@@ -319,6 +327,8 @@ def main() -> int:
     failed = [r["bench"] for r in results if r.get("status") != "ok"]
     if failed:
         print(f"[bench_json] FAILED: {', '.join(failed)}", file=sys.stderr)
+    if any(r.get("status") == "incorrect" for r in results):
+        return ORACLE_MISMATCH_EXIT
     return 1 if failed else 0
 
 

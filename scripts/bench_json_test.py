@@ -5,7 +5,8 @@ Feeds crafted RECORD streams and Google-Benchmark JSON through
 bench_json.record_entry, the function that turns a bench's exit status and
 output into its document entry: a complete stream must read "ok", and each
 gate (a missing matrix cell, a missing key, a non-positive measurement, a
-nonzero or missing alloc_events) must turn it non-ok.
+nonzero or missing alloc_events) must turn it non-ok. An oracle mismatch
+must read "incorrect", apart from a missed speedup gate's "failed".
 
 Run: python3 scripts/bench_json_test.py (ctest runs it as bench_json_test).
 """
@@ -16,6 +17,7 @@ import io
 import itertools
 import json
 import unittest
+from pathlib import Path
 
 import bench_json
 
@@ -132,6 +134,21 @@ class CompleteStreams(unittest.TestCase):
                                              "floor": 1.05})
         self.assertEqual(e["rows"], [{"label": "md",
                                       "values": [2.0, 0.01, 0.008, 1.25]}])
+
+    def test_oracle_mismatch_is_incorrect_not_failed(self):
+        # A mismatch ends the bench before its gate record; whichever gate
+        # would have read, the entry must say the result was wrong.
+        out = "md          2      0.010     0.008     1.25\n"
+        e = entry("figs", "bench_fig3_compute_speedup", out,
+                  returncode=bench_json.ORACLE_MISMATCH_EXIT)
+        self.assertEqual(e["status"], "incorrect")
+        self.assertEqual(e["exit_code"], bench_json.ORACLE_MISMATCH_EXIT)
+
+    def test_oracle_mismatch_exit_matches_the_benches(self):
+        common = Path(__file__).resolve().parents[1] / "bench" / "common.h"
+        self.assertIn("kOracleMismatchExit = "
+                      f"{bench_json.ORACLE_MISMATCH_EXIT};",
+                      common.read_text())
 
 
 class Gates(unittest.TestCase):

@@ -1,21 +1,37 @@
 #include "runtime/global_buffer.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 
 namespace mutls {
+
+void BufferMap::Unmap::operator()(void* table) const { munmap(table, bytes); }
 
 void BufferMap::init(int log2_entries, size_t overflow_cap, bool with_marks,
                      SpecBufferStats* stats) {
   MUTLS_CHECK(log2_entries >= 4 && log2_entries <= 28,
               "buffer log2 size out of range");
   size_t n = size_t{1} << log2_entries;
-  buffer_ = std::make_unique<uint64_t[]>(n);
-  addresses_ = std::make_unique<uintptr_t[]>(n);
-  std::fill_n(addresses_.get(), n, uintptr_t{0});
-  if (with_marks) {
-    marks_ = std::make_unique<uint64_t[]>(n);
-  }
+  size_t array_bytes = n * sizeof(uint64_t);
+  size_t bytes = array_bytes * (with_marks ? 3 : 2);
+  // Reserved, not committed: NORESERVE charges nothing for untouched
+  // pages, and NOHUGEPAGE keeps a first touch to one small page on a host
+  // that backs anonymous memory with huge pages by default.
+  void* table = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  MUTLS_CHECK(table != MAP_FAILED, "cannot map the buffer table");
+  madvise(table, bytes, MADV_NOHUGEPAGE);
+  // Replacing the owner unmaps a previous init's table.
+  table_ = std::unique_ptr<void, Unmap>(table, Unmap{bytes});
+  auto* base = static_cast<char*>(table);
+  addresses_ = reinterpret_cast<uintptr_t*>(base);
+  buffer_ = reinterpret_cast<uint64_t*>(base + array_bytes);
+  marks_ = with_marks ? reinterpret_cast<uint64_t*>(base + 2 * array_bytes)
+                      : nullptr;
+  offsets_.clear();
   offsets_.reserve(1024);
+  overflow_.clear();
   overflow_.reserve(std::min<size_t>(overflow_cap, 1024));
   mask_ = n - 1;
   overflow_cap_ = overflow_cap;

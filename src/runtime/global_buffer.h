@@ -10,6 +10,11 @@
 //               finalization of threads touching little data stay fast
 //   mark      — N words of per-byte dirty masks (write-set only)
 //
+// The addresses, buffer and marks of one map share one anonymous private
+// mapping. It is reserved at init, not zero-filled: the kernel commits a
+// page of zeroes on its first touch, which is the empty table, so a map
+// costs memory only for the pages its speculations touch.
+//
 // The hash is the low bits of the word address, one slot per key, no
 // probing: a slot collision diverts the access to a small bounded overflow
 // map ("temporary buffer" in the paper). When the overflow map fills, the
@@ -142,9 +147,15 @@ class BufferMap {
   Find overflow_find_or_insert(uintptr_t word_addr, Slot& out);
   bool overflow_find(uintptr_t word_addr, Slot& out);
 
-  std::unique_ptr<uint64_t[]> buffer_;
-  std::unique_ptr<uintptr_t[]> addresses_;
-  std::unique_ptr<uint64_t[]> marks_;
+  // Owns the table mapping; the three arrays below point into it.
+  struct Unmap {
+    size_t bytes;
+    void operator()(void* table) const;
+  };
+  std::unique_ptr<void, Unmap> table_;
+  uint64_t* buffer_ = nullptr;
+  uintptr_t* addresses_ = nullptr;
+  uint64_t* marks_ = nullptr;
   std::vector<uint32_t> offsets_;
   std::vector<OverflowEntry> overflow_;
   size_t mask_ = 0;

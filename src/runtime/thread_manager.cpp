@@ -73,11 +73,6 @@ ThreadManager::ThreadManager(const ManagerConfig& config)
                      config_.overflow_cap, GrowableSet::kMaxLog2,
                      &c.data.arena,
                      SpecPredictPolicy{.enabled = config_.predict_enabled});
-    // The entry frame is allocated after the buffer tables: a small block
-    // above them keeps glibc from trimming the freed tables off the heap
-    // top when a Runtime is destroyed, so the next Runtime reuses them.
-    // Allocated before them, constructing bh's Runtime (buffer_log2 17,
-    // 3 CPUs) took 9.9 instead of 2.2 ms on a 4-vCPU host.
     c.data.lbuf.reset();
     c.data.children.reserve(static_cast<size_t>(config_.num_cpus));
   }

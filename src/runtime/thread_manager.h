@@ -34,8 +34,10 @@ struct ManagerConfig {
   // rank range 1..N). The non-speculative thread is extra.
   int num_cpus = 4;
 
-  // log2 of the entry count of each read/write set (paper IV-G2). For the
-  // growable-log backend this is the *initial* capacity.
+  // log2 of the entry count of each read/write set (paper IV-G2). The
+  // static hash reserves its tables at construction and commits them page
+  // by page as speculations touch them. For the growable-log backend this
+  // is the *initial* capacity.
   int buffer_log2 = 16;
 
   // Capacity of the temporary (overflow) buffer per set (static-hash

@@ -3,7 +3,10 @@
 // buffer — IV-G2) and the growable-log backend's open-addressed
 // GrowableSet (probing, resize, O(entries) clear).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <cstdio>
+#include <unordered_map>
 #include <vector>
 
 #include "runtime/global_buffer.h"
@@ -167,6 +170,96 @@ TEST_P(BufferMapProperty, AgreesWithHashMapModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferMapProperty, ::testing::Range(1, 7));
+
+// --- The static table is reserved, not committed -------------------------
+
+constexpr long kKiB = 1024;
+constexpr long kMiB = 1024 * kKiB;
+
+// This process's resident set in bytes. smaps_rollup counts the resident
+// pages of every mapping; statm's count is a sum of per-CPU counters that
+// can lag it by hundreds of KiB.
+long resident_bytes() {
+  long kib = -1;
+  if (std::FILE* f = std::fopen("/proc/self/smaps_rollup", "r")) {
+    char line[256];
+    while (kib < 0 && std::fgets(line, sizeof line, f)) {
+      std::sscanf(line, "Rss: %ld kB", &kib);
+    }
+    std::fclose(f);
+  }
+  if (kib < 0) ADD_FAILURE() << "no Rss line in /proc/self/smaps_rollup";
+  return kib * kKiB;
+}
+
+// A write-set of 2^20 entries spans three 8 MiB arrays (addresses, data,
+// marks); zero-filling them up front made init commit all 24 MiB.
+TEST(BufferMap, InitReservesTheTableWithoutCommittingIt) {
+  BufferMap m;
+  long before = resident_bytes();
+  m.init(20, 4096, /*with_marks=*/true);
+  EXPECT_LT(resident_bytes() - before, kMiB);
+}
+
+TEST(BufferMap, InsertCommitsOnlyTheTouchedPages) {
+  constexpr uintptr_t kWords = 4096;  // 32 KiB: eight pages of each array
+  BufferMap m;
+  m.init(20, 4096, /*with_marks=*/true);
+  auto insert_run = [&m](uintptr_t first) {
+    for (uintptr_t i = 0; i < kWords; ++i) {
+      BufferMap::Slot s;
+      m.find_or_insert(first + 8 * i, s);
+      *s.data = 1;
+      *s.mark = kFullMark;
+    }
+  };
+  // The first run grows the offsets stack. The measured one lands 4 MiB
+  // further into each array, so it commits table pages only, and none
+  // that the first run could have committed with it.
+  insert_run(kA);
+  m.clear();
+  long before = resident_bytes();
+  insert_run(kA + 4 * kMiB);
+  long table = resident_bytes() - before;
+  EXPECT_EQ(m.entry_count(), kWords);
+
+  // What reading and writing the same 96 KiB of fresh pages commits in
+  // this build (a sanitizer adds its shadow pages to each page touched).
+  constexpr size_t kBytes = 3 * kWords * sizeof(uint64_t);
+  void* fresh = mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(fresh, MAP_FAILED);
+  before = resident_bytes();
+  auto* words = static_cast<uint64_t*>(fresh);
+  for (size_t i = 0; i < 3 * kWords; ++i) words[i] += 1;
+  long plain = resident_bytes() - before;
+  munmap(fresh, kBytes);
+  EXPECT_GT(plain, 0);
+  // A committed array or one huge page would be megabytes.
+  EXPECT_LE(table, 2 * plain) << "table " << table << " B, plain " << plain
+                              << " B";
+}
+
+TEST(BufferMap, ReinitReleasesThePreviousTable) {
+  BufferMap m;
+  // One word per page of each array: 256 pages each, 3 MiB per cycle.
+  auto init_and_touch = [&m] {
+    m.init(20, 4096, /*with_marks=*/true);
+    for (uintptr_t i = 0; i < 256; ++i) {
+      BufferMap::Slot s;
+      m.find_or_insert(kA + 4096 * i, s);
+      *s.data = 1;
+      *s.mark = kFullMark;
+    }
+  };
+  init_and_touch();
+  EXPECT_EQ(m.entry_count(), 256u);
+  long after_one = resident_bytes();
+  for (int cycle = 0; cycle < 8; ++cycle) init_and_touch();
+  EXPECT_EQ(m.entry_count(), 256u) << "init starts an empty map";
+  // Eight tables left mapped would hold 24 MiB more.
+  EXPECT_LT(resident_bytes() - after_one, kMiB);
+}
 
 // --- GrowableSet (the growable-log backend's open-addressed index) ------
 
